@@ -12,8 +12,6 @@ import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import encoder as enc
 from . import trainer
 from .data import (
@@ -21,6 +19,7 @@ from .data import (
     SyntheticSpec,
     generate_synthetic,
     load_dataset,
+    minibatches,
     save_dataset,
     split_dataset,
 )
@@ -33,7 +32,6 @@ from .evaluation import (
     write_diagnostics_csv,
     write_report_csv,
 )
-from .losses import SimilarityBlock, compute_loss, semantic_factor_matrix
 from .stopwords import load_stopwords
 from .textsem import PreprocessConfig, export_semantics
 from .trainer import (
@@ -79,13 +77,17 @@ def _synthetic_spec(cfg: dict[str, object]) -> SyntheticSpec:
     )
 
 
-def _load_or_generate(cfg: dict[str, object]) -> tuple[Dataset, Dataset]:
-    """Load the configured dataset, or fall back to the synthetic spec,
-    then split whole images into train/val."""
+def _load(cfg: dict[str, object]) -> Dataset:
+    """The configured dataset files, or else the synthetic spec's corpus."""
     if cfg["data.captions"] and cfg["data.features"]:
-        ds = load_dataset(str(cfg["data.captions"]), str(cfg["data.features"]))
-    else:
-        ds = generate_synthetic(_synthetic_spec(cfg))
+        return load_dataset(str(cfg["data.captions"]), str(cfg["data.features"]))
+    return generate_synthetic(_synthetic_spec(cfg))
+
+
+def _load_or_generate(cfg: dict[str, object]) -> tuple[Dataset, Dataset]:
+    """Load or generate the dataset, then split it into train/val by
+    caption: every image keeps at least one caption in train."""
+    ds = _load(cfg)
     if ds.n_captions == 0:
         raise EmptyDataset("dataset holds no captions")
     return split_dataset(ds, float(cfg["val_fraction"]), int(cfg["seed"]))
@@ -120,14 +122,9 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args)
     train_ds, val_ds = _load_or_generate(cfg)
     params = enc.load_checkpoint(args.checkpoint)
-    pre_cfg = _preprocess_config(cfg)
-    train_tokens = [trainer.preprocess(c, pre_cfg) for c in train_ds.captions]
-    vocab = trainer.build_token_vocab(train_tokens)
-    val_ids = trainer.tokens_to_ids(
-        [trainer.preprocess(c, pre_cfg) for c in val_ds.captions], vocab
-    )
+    text = trainer.prepare_text(train_ds.captions, val_ds.captions, _preprocess_config(cfg))
     V = enc.encode_images(params, val_ds.features)
-    U = enc.encode_texts(params, val_ids)
+    U = enc.encode_texts(params, text.val_ids)
     report = retrieval_report(V @ U.T, val_ds.relevance)
     out = Path(args.out) / "retrieval_report.csv"
     Path(args.out).mkdir(parents=True, exist_ok=True)
@@ -138,12 +135,8 @@ def cmd_eval(args) -> int:
 
 def cmd_svd(args) -> int:
     cfg = _load_config(args)
-    if cfg["data.captions"] and cfg["data.features"]:
-        ds = load_dataset(str(cfg["data.captions"]), str(cfg["data.features"]))
-    else:
-        ds = generate_synthetic(_synthetic_spec(cfg))
     sem, _ = trainer.corpus_semantics(
-        ds.captions, _preprocess_config(cfg), int(cfg["svd_k"]), int(cfg["seed"])
+        _load(cfg).captions, _preprocess_config(cfg), int(cfg["svd_k"]), int(cfg["seed"])
     )
     Path(args.out).mkdir(parents=True, exist_ok=True)
     out = Path(args.out) / "semantics.bin"
@@ -204,33 +197,16 @@ def cmd_compare(args) -> int:
 
 def cmd_diag(args) -> int:
     cfg = _load_config(args)
-    train_ds, _ = _load_or_generate(cfg)
-    if train_ds.n_captions == 0:
-        raise EmptyDataset("dataset holds no captions")
-    params = enc.load_checkpoint(args.checkpoint)
-    pre_cfg = _preprocess_config(cfg)
     tcfg = train_config_from_dict(cfg)
-
-    sem, train_tokens = trainer.corpus_semantics(
-        train_ds.captions, pre_cfg, tcfg.svd_k, tcfg.seed
-    )
-    vocab = trainer.build_token_vocab(train_tokens)
-    ids = trainer.tokens_to_ids(train_tokens, vocab)
-    caption_image = np.asarray(train_ds.caption_image)
-
+    if tcfg.loss.variant == "lsh":
+        raise SemhardError("diagnostics need a max-of-hinges loss variant")
+    train_ds, _ = _load_or_generate(cfg)
+    params = enc.load_checkpoint(args.checkpoint)
+    svd_k = tcfg.svd_k if tcfg.loss.variant == "lseh" else None
+    text = trainer.prepare_text(train_ds.captions, [], _preprocess_config(cfg), svd_k, tcfg.seed)
     logs = []
-    from .data import minibatches
-
     for batch in minibatches(train_ds.n_captions, tcfg.batch_size, tcfg.seed, 0):
-        X = train_ds.features[caption_image[batch]]
-        cache = enc.forward(params, X, [ids[d] for d in batch])
-        S = enc.similarity_matrix(cache)
-        F = None
-        if tcfg.loss.variant == "lseh":
-            F = semantic_factor_matrix(sem.B[batch], tcfg.loss.lam)
-        out = compute_loss(SimilarityBlock(S=S, F=F), tcfg.loss)
-        if out.hard_neg_img is None:
-            raise SemhardError("diagnostics need a max-of-hinges loss variant")
+        _, out = trainer.batch_loss(params, train_ds, text.train_ids, batch, tcfg.loss, text.sem)
         logs.append((out.hard_neg_img.tolist(), out.hard_neg_desc.tolist()))
 
     stats = hard_negative_uniques(logs)

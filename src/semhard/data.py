@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateDescriptionId,
     MissingImageId,
+    TruncatedFile,
 )
 from .evaluation import RelevanceMap
 
@@ -53,6 +54,11 @@ def load_dataset(
     """Load a (captions TSV, features matrix) pair with referential checks."""
     lines = Path(features_path).read_text(encoding="utf-8").splitlines()
     n_img, d_img = (int(x) for x in lines[0].split())
+    if len(lines) < 1 + n_img:
+        raise TruncatedFile(
+            f"{features_path}:{len(lines) + 1}: feature row {len(lines) - 1} is missing;"
+            f" the header declares {n_img} rows"
+        )
     features = np.zeros((n_img, d_img))
     for i in range(n_img):
         row = np.array([float(x) for x in lines[1 + i].split()])
@@ -185,74 +191,52 @@ def split_dataset(
     pairs at desk scale. mode="image" holds out whole images with all their
     captions.
     """
-    if mode == "caption":
-        return _split_by_caption(ds, val_fraction, seed)
-    if mode != "image":
+    if mode not in ("caption", "image"):
         raise ValueError("mode must be 'caption' or 'image'")
     if not 0.0 < val_fraction < 1.0:
         raise ValueError("val_fraction must lie in (0, 1)")
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(ds.n_images)
-    n_val = max(1, int(round(val_fraction * ds.n_images)))
-    val_imgs = set(perm[:n_val].tolist())
-
-    def subset(selected: set[int], split: str) -> Dataset:
-        old_to_new = {}
-        keep_imgs = [i for i in range(ds.n_images) if (i in selected) == (split == "val")]
-        for new, old in enumerate(keep_imgs):
-            old_to_new[old] = new
-        captions, caption_image = [], []
-        for d, img in enumerate(ds.caption_image):
-            if img in old_to_new:
-                captions.append(ds.captions[d])
-                caption_image.append(old_to_new[img])
-        return Dataset(
-            features=ds.features[keep_imgs],
-            captions=captions,
-            caption_image=caption_image,
-            relevance=_build_relevance(len(keep_imgs), caption_image),
-            split=split,
-        )
-
-    return subset(val_imgs, "train"), subset(val_imgs, "val")
+    if mode == "image":
+        n_val = max(1, int(round(val_fraction * ds.n_images)))
+        held_out = np.zeros(ds.n_images, dtype=bool)
+        held_out[rng.permutation(ds.n_images)[:n_val]] = True
+        val_caps = held_out[np.asarray(ds.caption_image, dtype=np.int64)]
+    else:
+        val_caps = _held_out_captions(ds, val_fraction, rng)
+    return _subset(ds, ~val_caps, "train"), _subset(ds, val_caps, "val")
 
 
-def _split_by_caption(ds: Dataset, val_fraction: float, seed: int):
-    if not 0.0 < val_fraction < 1.0:
-        raise ValueError("val_fraction must lie in (0, 1)")
-    rng = np.random.default_rng(seed)
+def _held_out_captions(ds: Dataset, val_fraction: float, rng) -> np.ndarray:
+    """Mask of held-out captions: a fraction of each image's captions, but
+    never an image's last one."""
     by_image: dict[int, list[int]] = {}
     for d, img in enumerate(ds.caption_image):
         by_image.setdefault(img, []).append(d)
-
-    val_caps: set[int] = set()
-    for img, caps in by_image.items():
+    val_caps = np.zeros(ds.n_captions, dtype=bool)
+    for caps in by_image.values():
         if len(caps) < 2:
             continue  # an image's only caption stays in train
         n_val = min(len(caps) - 1, max(1, int(round(val_fraction * len(caps)))))
         chosen = rng.choice(len(caps), size=n_val, replace=False)
-        val_caps.update(caps[c] for c in chosen)
+        val_caps[[caps[c] for c in chosen]] = True
+    return val_caps
 
-    def subset(split: str) -> Dataset:
-        captions, caption_image = [], []
-        for d, img in enumerate(ds.caption_image):
-            if (d in val_caps) == (split == "val"):
-                captions.append(ds.captions[d])
-                caption_image.append(img)
-        # images whose captions all went to the other side would break the
-        # relevance invariant; caption mode guarantees train coverage, and
-        # val keeps only covered images
-        used = sorted(set(caption_image))
-        remap = {old: new for new, old in enumerate(used)}
-        return Dataset(
-            features=ds.features[used],
-            captions=captions,
-            caption_image=[remap[i] for i in caption_image],
-            relevance=_build_relevance(len(used), [remap[i] for i in caption_image]),
-            split=split,
-        )
 
-    return subset("train"), subset("val")
+def _subset(ds: Dataset, keep: np.ndarray, split: str) -> Dataset:
+    """The captions under the `keep` mask and only the images they use,
+    renumbered in order: an image with no caption on this side would have
+    no relevant description, which RelevanceMap rejects."""
+    caps = np.flatnonzero(keep).tolist()
+    used = sorted({ds.caption_image[d] for d in caps})
+    remap = {old: new for new, old in enumerate(used)}
+    caption_image = [remap[ds.caption_image[d]] for d in caps]
+    return Dataset(
+        features=ds.features[used],
+        captions=[ds.captions[d] for d in caps],
+        caption_image=caption_image,
+        relevance=_build_relevance(len(used), caption_image),
+        split=split,
+    )
 
 
 def minibatches(n_items: int, batch_size: int, seed: int, epoch: int) -> list[np.ndarray]:

@@ -17,6 +17,7 @@ from .errors import (
     EmptySequence,
     NonFiniteGradient,
     ShapeMismatch,
+    TruncatedFile,
     ZeroNormEmbedding,
 )
 
@@ -190,15 +191,18 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise ValueError("bad checkpoint magic")
+    header = 8 + 3 * 8
+    if len(raw) < header:
+        raise TruncatedFile(f"{path}: {len(raw)} bytes, shorter than the checkpoint header")
     (version,) = struct.unpack("<I", raw[4:8])
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    shapes = []
-    off = 8
-    for _ in range(3):
-        shapes.append(struct.unpack("<II", raw[off : off + 8]))
-        off += 8
+    shapes = [struct.unpack_from("<II", raw, 8 + 8 * i) for i in range(3)]
+    expected = header + 8 * sum(r * c for r, c in shapes)
+    if len(raw) < expected:
+        raise TruncatedFile(f"{path}: {len(raw)} bytes, but shapes {shapes} need {expected}")
     mats = []
+    off = header
     for shape in shapes:
         count = shape[0] * shape[1]
         mats.append(

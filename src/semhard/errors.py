@@ -17,10 +17,6 @@ class ConvergenceFailure(SemhardError):
     """The iterative SVD solver did not meet its residual bound."""
 
 
-class IndexOutOfRange(SemhardError):
-    """A row/column index fell outside the matrix."""
-
-
 class ShapeMismatch(SemhardError):
     """Matrix shapes are inconsistent with the operation's contract."""
 
@@ -51,6 +47,10 @@ class MissingImageId(SemhardError):
 
 class DimensionMismatch(SemhardError):
     """A feature row's dimension disagrees with the declared d_img."""
+
+
+class TruncatedFile(SemhardError):
+    """A file ends before the rows or bytes its header declares."""
 
 
 class DuplicateDescriptionId(SemhardError):

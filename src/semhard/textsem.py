@@ -1,8 +1,8 @@
-"""Corpus semantics: preprocessing, TF-IDF, truncated SVD, cosine queries.
+"""Corpus semantics: preprocessing, TF-IDF, truncated SVD, row cosines.
 
 The description corpus is turned into a sparse term-document matrix
-(raw term count x ln(n/df)), reduced with a randomized truncated SVD,
-and the reduced rows answer pairwise semantic-similarity queries.
+(raw term count x ln(n/df)) and reduced with a randomized truncated SVD;
+the cosines of the reduced rows are the semantic similarities.
 """
 
 from __future__ import annotations
@@ -10,18 +10,13 @@ from __future__ import annotations
 import re
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (
-    AllDocumentsEmpty,
-    ConvergenceFailure,
-    IndexOutOfRange,
-    KTooLarge,
-)
+from .errors import AllDocumentsEmpty, ConvergenceFailure, KTooLarge
 from .stemming import stem
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -29,6 +24,13 @@ _TOKEN_RE = re.compile(r"[a-z]+")
 
 EXPORT_MAGIC = b"LSEH"
 EXPORT_VERSION = 1
+
+# truncated_svd: extra sketch columns, power iterations before the first
+# convergence test, the iteration cap, and the relative singular-value tolerance
+SVD_OVERSAMPLE = 8
+SVD_MIN_ITERS = 4
+SVD_MAX_ITERS = 2000
+SVD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,10 +65,6 @@ class ReducedSemantics:
     B: np.ndarray                # n x k reduced description vectors
     singular_values: np.ndarray  # length k, nonincreasing
     V: np.ndarray                # w x k, orthonormal columns
-    row_norms: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.row_norms = np.linalg.norm(self.B, axis=1)
 
     @property
     def n_rows(self) -> int:
@@ -149,15 +147,11 @@ def truncated_svd(
     A: TermDocMatrix | sp.spmatrix | np.ndarray,
     k: int,
     seed: int = 0,
-    oversample: int = 8,
-    min_iters: int = 4,
-    max_iters: int = 2000,
-    tol: float = 1e-12,
 ) -> ReducedSemantics:
     """Top-k singular triplets via randomized subspace iteration.
 
-    Power iterations continue past `min_iters` until the singular-value
-    estimates stabilize below `tol` relative change, so the result
+    Power iterations continue past SVD_MIN_ITERS until the singular-value
+    estimates stabilize below SVD_TOL relative change, so the result
     matches a dense SVD to high accuracy even on flat spectra.
     """
     M = A.matrix if isinstance(A, TermDocMatrix) else A
@@ -166,23 +160,23 @@ def truncated_svd(
         raise KTooLarge(f"k={k} exceeds min(n, w)={min(n, w)}")
 
     rng = np.random.default_rng(seed)
-    l = min(k + oversample, min(n, w))
+    l = min(k + SVD_OVERSAMPLE, min(n, w))
     Q = np.linalg.qr(M @ rng.standard_normal((w, l)))[0]
 
     prev = None
-    for it in range(max_iters):
+    for it in range(SVD_MAX_ITERS):
         Q = np.linalg.qr(M @ (M.T @ Q))[0]
-        if it + 1 < min_iters:
+        if it + 1 < SVD_MIN_ITERS:
             continue
         s = np.linalg.svd(Q.T @ M, compute_uv=False)[:k]
         if prev is not None:
             denom = np.maximum(np.abs(s), 1e-300)
-            if np.max(np.abs(s - prev) / denom) < tol:
+            if np.max(np.abs(s - prev) / denom) < SVD_TOL:
                 break
         prev = s
     else:
         raise ConvergenceFailure(
-            f"singular values did not stabilize within {max_iters} iterations"
+            f"singular values did not stabilize within {SVD_MAX_ITERS} iterations"
         )
 
     _, s, Vt = np.linalg.svd(Q.T @ M, full_matrices=False)
@@ -190,23 +184,6 @@ def truncated_svd(
     B = np.asarray(M @ V)
     _canonicalize_signs(V, B)
     return ReducedSemantics(B=B, singular_values=s[:k].copy(), V=V)
-
-
-def semantic_similarity(sem: ReducedSemantics, i: int, J) -> np.ndarray:
-    """Cosine of reduced row i against rows J. Zero rows score 0."""
-    J = np.asarray(list(J), dtype=np.int64)
-    n = sem.n_rows
-    if not 0 <= i < n or (J.size and (J.min() < 0 or J.max() >= n)):
-        raise IndexOutOfRange(f"row indices must lie in [0, {n})")
-    if np.any(J == i):
-        raise ValueError("i must not appear in J")
-    ni = sem.row_norms[i]
-    nj = sem.row_norms[J]
-    denom = ni * nj
-    dots = sem.B[J] @ sem.B[i]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scores = np.where(denom > 0, dots / np.where(denom > 0, denom, 1.0), 0.0)
-    return scores
 
 
 def cosine_matrix(rows: np.ndarray) -> np.ndarray:

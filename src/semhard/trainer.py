@@ -4,7 +4,8 @@ Per batch: encode both sides, build the similarity block, attach the
 semantic-factor matrix for the batch's descriptions, compute the loss,
 backpropagate, and apply SGD. Every `validation_step` cumulative batches
 the model is validated on the held-out set and checkpointed iff the
-mean-recall score strictly improves.
+mean-recall score strictly improves. The CLI's eval and diag share
+`prepare_text` (captions to ids and semantics) and `batch_loss` with it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import EmptyBatch, SemanticRowMisalignment, UnknownConfigKey
 from .evaluation import retrieval_report
 from .losses import (
     LossConfig,
+    LossOutput,
     SimilarityBlock,
     compute_loss,
     semantic_factor_matrix,
@@ -61,18 +63,6 @@ class TrainingReport:
     hard_neg_logs: list[tuple[list[int], list[int]]] = field(default_factory=list)
 
 
-def build_token_vocab(token_seqs: list[list[str]]) -> dict[str, int]:
-    terms = sorted({t for seq in token_seqs for t in seq})
-    return {t: i for i, t in enumerate(terms)}
-
-
-def tokens_to_ids(
-    token_seqs: list[list[str]], vocab: dict[str, int]
-) -> list[list[int]]:
-    """Map tokens to ids, dropping out-of-vocabulary tokens."""
-    return [[vocab[t] for t in seq if t in vocab] for seq in token_seqs]
-
-
 def corpus_semantics(
     captions: list[str],
     pre_cfg: PreprocessConfig,
@@ -81,11 +71,60 @@ def corpus_semantics(
 ) -> tuple[ReducedSemantics, list[list[str]]]:
     """Preprocess captions, build TF-IDF, and reduce with truncated SVD."""
     token_seqs = [preprocess(c, pre_cfg) for c in captions]
-    vocab, tdm = build_tfidf(token_seqs)
-    n, w = tdm.shape
-    k = min(k_ceiling, min(n, w) - 1)
-    sem = truncated_svd(tdm, k, seed=seed)
-    return sem, token_seqs
+    _, tdm = build_tfidf(token_seqs)
+    k = min(k_ceiling, min(tdm.shape) - 1)
+    return truncated_svd(tdm, k, seed=seed), token_seqs
+
+
+@dataclass
+class PreparedText:
+    """Both splits as ids over the train vocabulary, plus optional train semantics."""
+    vocab_size: int
+    train_ids: list[list[int]]
+    val_ids: list[list[int]]
+    sem: ReducedSemantics | None
+
+
+def prepare_text(
+    train_captions: list[str],
+    val_captions: list[str],
+    pre_cfg: PreprocessConfig,
+    svd_k: int | None = None,
+    seed: int = 0,
+) -> PreparedText:
+    """Preprocess each split once and map it to ids over the sorted train
+    vocabulary, dropping out-of-vocabulary tokens. With `svd_k`, the train
+    split also goes through TF-IDF and the truncated SVD."""
+    if svd_k is None:
+        sem, train_tokens = None, [preprocess(c, pre_cfg) for c in train_captions]
+    else:
+        sem, train_tokens = corpus_semantics(train_captions, pre_cfg, svd_k, seed)
+    terms = sorted({t for seq in train_tokens for t in seq})
+    vocab = {t: i for i, t in enumerate(terms)}
+
+    def to_ids(token_seqs):
+        return [[vocab[t] for t in seq if t in vocab] for seq in token_seqs]
+
+    val_tokens = [preprocess(c, pre_cfg) for c in val_captions]
+    return PreparedText(len(vocab), to_ids(train_tokens), to_ids(val_tokens), sem)
+
+
+def batch_loss(
+    params: enc.ModelParams,
+    ds: Dataset,
+    ids: list[list[int]],
+    batch: np.ndarray,
+    loss_cfg: LossConfig,
+    sem: ReducedSemantics | None,
+) -> tuple[enc.ForwardCache, LossOutput]:
+    """Forward a mini-batch of caption indices with their images, then score
+    the similarity block; only lseh reads the semantic factors from `sem`."""
+    X = ds.features[[ds.caption_image[d] for d in batch]]
+    cache = enc.forward(params, X, [ids[d] for d in batch])
+    lseh = loss_cfg.variant == "lseh"
+    F = semantic_factor_matrix(sem.B[batch], loss_cfg.lam) if lseh else None
+    block = SimilarityBlock(S=enc.similarity_matrix(cache), F=F)
+    return cache, compute_loss(block, loss_cfg)
 
 
 def validate(
@@ -114,30 +153,22 @@ def train(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    train_tokens = [preprocess(c, pre_cfg) for c in train_ds.captions]
-    if sem is None and cfg.loss.variant == "lseh":
-        vocab_tfidf, tdm = build_tfidf(train_tokens)
-        k = min(cfg.svd_k, min(tdm.shape) - 1)
-        sem = truncated_svd(tdm, k, seed=cfg.seed)
     if sem is not None and sem.n_rows != train_ds.n_captions:
         raise SemanticRowMisalignment(
             f"{sem.n_rows} semantic rows for {train_ds.n_captions} descriptions"
         )
-
-    token_vocab = build_token_vocab(train_tokens)
-    train_ids = tokens_to_ids(train_tokens, token_vocab)
-    val_tokens = [preprocess(c, pre_cfg) for c in val_ds.captions]
-    val_ids = tokens_to_ids(val_tokens, token_vocab)
+    svd_k = cfg.svd_k if sem is None and cfg.loss.variant == "lseh" else None
+    text = prepare_text(train_ds.captions, val_ds.captions, pre_cfg, svd_k, cfg.seed)
+    sem = text.sem if sem is None else sem
 
     params = enc.init_params(
         d_img=train_ds.features.shape[1],
-        vocab_size=len(token_vocab),
+        vocab_size=text.vocab_size,
         d_word=cfg.d_word,
         d_emb=cfg.d_emb,
         seed=cfg.seed,
     )
 
-    caption_image = np.asarray(train_ds.caption_image)
     records: list[tuple[float, float, float]] = []
     hard_neg_logs: list[tuple[list[int], list[int]]] = []
     best = -np.inf
@@ -154,16 +185,7 @@ def train(
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate / (10.0 if epoch >= cfg.lr_update_epoch else 1.0)
         for batch in minibatches(train_ds.n_captions, cfg.batch_size, cfg.seed, epoch):
-            X = train_ds.features[caption_image[batch]]
-            seqs = [train_ids[d] for d in batch]
-            cache = enc.forward(params, X, seqs)
-            S = enc.similarity_matrix(cache)
-
-            F = None
-            if cfg.loss.variant == "lseh":
-                F = semantic_factor_matrix(sem.B[batch], cfg.loss.lam)
-            block = SimilarityBlock(S=S, F=F)
-            out = compute_loss(block, cfg.loss)
+            cache, out = batch_loss(params, train_ds, text.train_ids, batch, cfg.loss, sem)
             loss_acc.append(out.value)
             if out.hard_neg_img is not None:
                 hard_neg_logs.append(
@@ -176,7 +198,7 @@ def train(
 
             batches_done += 1
             if batches_done % cfg.validation_step == 0:
-                score = validate(params, val_ds, val_ids)
+                score = validate(params, val_ds, text.val_ids)
                 epoch_fraction = batches_done / first_epoch_batches
                 loss_mean = float(np.mean(loss_acc)) if loss_acc else 0.0
                 loss_acc = []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import semhard.trainer
 from semhard.cli import main
 
 TINY = [
@@ -66,7 +67,7 @@ class TestTrain:
 class TestEvalAndDiag:
     def test_eval_from_checkpoint(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
-        run(["train", "--out", str(run_dir), *TINY], capsys)
+        _, trained, _ = run(["train", "--out", str(run_dir), *TINY], capsys)
         out = tmp_path / "eval"
         code, stdout, _ = run(
             ["eval", "--checkpoint", str(run_dir / "best.ckpt"),
@@ -74,7 +75,9 @@ class TestEvalAndDiag:
             capsys,
         )
         assert code == 0
-        assert stdout.startswith("m_recall=")
+        # eval rebuilds the same vocabulary, so it reproduces training's best score
+        best = trained.split()[0].removeprefix("best_m_recall=")
+        assert stdout == f"m_recall={best}\n"
         lines = (out / "retrieval_report.csv").read_text().splitlines()
         assert lines[1] == "direction,k,recall"
 
@@ -95,6 +98,31 @@ class TestEvalAndDiag:
             assert 1 <= int(ui) <= 4
             assert 1 <= int(ud) <= 4
 
+    def test_diag_lmh_runs_no_svd(self, tmp_path, capsys, monkeypatch):
+        run_dir = tmp_path / "run"
+        run(["train", "--out", str(run_dir), "--set", "loss.variant=lmh", *TINY], capsys)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("diag ran the SVD for lmh")
+
+        monkeypatch.setattr(semhard.trainer, "truncated_svd", no_svd)
+        code, _, err = run(
+            ["diag", "--checkpoint", str(run_dir / "best.ckpt"),
+             "--out", str(tmp_path / "diag"), "--set", "loss.variant=lmh", *TINY],
+            capsys,
+        )
+        assert code == 0, err
+        assert (tmp_path / "diag" / "hard_negative_diagnostics.csv").exists()
+
+    def test_diag_lsh_fails_before_reading_the_checkpoint(self, tmp_path, capsys):
+        code, _, err = run(
+            ["diag", "--checkpoint", str(tmp_path / "nope.ckpt"),
+             "--out", str(tmp_path / "diag"), "--set", "loss.variant=lsh", *TINY],
+            capsys,
+        )
+        assert code == 1
+        assert err == "error: diagnostics need a max-of-hinges loss variant\n"
+
     def test_missing_checkpoint_is_error_exit(self, tmp_path, capsys):
         code, _, err = run(
             ["eval", "--checkpoint", str(tmp_path / "nope.ckpt"),
@@ -103,6 +131,19 @@ class TestEvalAndDiag:
         )
         assert code == 1
         assert err.startswith("error:")
+
+    def test_truncated_checkpoint_is_error_exit(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run(["train", "--out", str(run_dir), *TINY], capsys)
+        truncated = tmp_path / "truncated.ckpt"
+        truncated.write_bytes((run_dir / "best.ckpt").read_bytes()[:20])
+        code, _, err = run(
+            ["eval", "--checkpoint", str(truncated), "--out", str(tmp_path / "o"), *TINY],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error:")
+        assert str(truncated) in err
 
 
 class TestSvd:
@@ -150,6 +191,20 @@ class TestErrorPaths:
         )
         assert code == 1
         assert err.startswith("error:")
+
+    def test_features_shorter_than_header(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run(["gen", "--out", str(data), *TINY], capsys)
+        features = data / "features.txt"
+        features.write_text("\n".join(features.read_text().splitlines()[:4]) + "\n")
+        code, _, err = run(
+            ["train", "--out", str(tmp_path / "o"), *TINY,
+             "--set", f"data.captions={data / 'captions.tsv'}",
+             "--set", f"data.features={features}"],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith(f"error: {features}:5:")
 
     def test_malformed_set_pair(self, tmp_path, capsys):
         code, _, err = run(

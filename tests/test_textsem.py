@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from semhard.errors import AllDocumentsEmpty, IndexOutOfRange, KTooLarge
+from semhard.errors import AllDocumentsEmpty, KTooLarge
 from semhard.stemming import stem
 from semhard.textsem import (
     PreprocessConfig,
-    ReducedSemantics,
     build_tfidf,
     cosine_matrix,
     export_semantics,
     preprocess,
     read_exported_semantics,
-    semantic_similarity,
     truncated_svd,
 )
 
@@ -189,52 +187,27 @@ class TestTruncatedSvd:
 
 
 class TestSemanticSimilarity:
-    def _sem(self, B):
-        B = np.asarray(B, dtype=float)
-        k = B.shape[1]
-        return ReducedSemantics(
-            B=B, singular_values=np.ones(k), V=np.eye(B.shape[1], k)
-        )
-
-    def test_identical_rows(self):
-        sem = self._sem([[1.0, 2.0], [1.0, 2.0]])
-        assert semantic_similarity(sem, 0, [1])[0] == pytest.approx(1.0)
-
-    def test_antipodal_rows(self):
-        sem = self._sem([[1.0, 2.0], [-1.0, -2.0]])
-        assert semantic_similarity(sem, 0, [1])[0] == pytest.approx(-1.0)
+    """Similarity of two documents is the cosine of their rows of B, read
+    off `cosine_matrix(B)[i, j]`."""
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(23)
         B = rng.standard_normal((6, 4))
-        sem = self._sem(B)
-        scores = semantic_similarity(sem, 2, [0, 1, 3, 4, 5])
-        for s, j in zip(scores, [0, 1, 3, 4, 5]):
+        G = cosine_matrix(B)
+        for j in [0, 1, 3, 4, 5]:
             naive = float(B[2] @ B[j]) / (np.linalg.norm(B[2]) * np.linalg.norm(B[j]))
-            assert s == pytest.approx(naive, abs=1e-12)
+            assert G[2, j] == pytest.approx(naive, abs=1e-12)
 
     def test_zero_row_scores_zero(self):
-        sem = self._sem([[0.0, 0.0], [1.0, 1.0]])
-        assert semantic_similarity(sem, 0, [1])[0] == 0.0
-
-    def test_index_out_of_range(self):
-        sem = self._sem([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(IndexOutOfRange):
-            semantic_similarity(sem, 0, [5])
-
-    def test_i_in_j_rejected(self):
-        sem = self._sem([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            semantic_similarity(sem, 0, [0, 1])
+        G = cosine_matrix(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        assert G[0, 1] == 0.0
+        assert G[1, 0] == 0.0
 
     def test_cosine_bounds(self):
         rng = np.random.default_rng(29)
-        B = rng.standard_normal((40, 5))
-        sem = self._sem(B)
-        for i in range(40):
-            scores = semantic_similarity(sem, i, [j for j in range(40) if j != i])
-            assert np.all(scores >= -1 - 1e-12)
-            assert np.all(scores <= 1 + 1e-12)
+        G = cosine_matrix(rng.standard_normal((40, 5)))
+        assert np.all(G >= -1 - 1e-12)
+        assert np.all(G <= 1 + 1e-12)
 
 
 class TestCosineMatrix:
@@ -243,6 +216,14 @@ class TestCosineMatrix:
         G = cosine_matrix(rng.standard_normal((7, 3)))
         assert np.allclose(np.diag(G), 1.0)
         assert np.allclose(G, G.T)
+
+    def test_identical_rows(self):
+        G = cosine_matrix(np.array([[1.0, 2.0], [1.0, 2.0]]))
+        assert G[0, 1] == pytest.approx(1.0)
+
+    def test_antipodal_rows(self):
+        G = cosine_matrix(np.array([[1.0, 2.0], [-1.0, -2.0]]))
+        assert G[0, 1] == pytest.approx(-1.0)
 
     def test_zero_row_gives_zeros(self):
         G = cosine_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]))
