@@ -8,7 +8,6 @@ Every output CSV starts with a comment line recording the resolved config.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -29,6 +28,7 @@ from .evaluation import (
     epochs_to_threshold,
     hard_negative_uniques,
     retrieval_report,
+    write_csv,
     write_diagnostics_csv,
     write_report_csv,
 )
@@ -177,20 +177,14 @@ def cmd_compare(args) -> int:
         crossing_str = f"{crossing:.6f}"
 
     path = out_dir / "comparison.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {_resolved_header(cfg)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["loss", "best_m_recall", "best_epoch", "epochs_to_lmh_best", "difference_pct"]
-        )
-        writer.writerow(
-            ["lmh", f"{lmh_report.best_m_recall:.6f}", f"{lmh_report.best_epoch:.6f}",
-             f"{lmh_report.best_epoch:.6f}", "0.0000"]
-        )
-        writer.writerow(
-            ["lseh", f"{lseh_report.best_m_recall:.6f}", f"{lseh_report.best_epoch:.6f}",
-             crossing_str, difference]
-        )
+    columns = ["loss", "best_m_recall", "best_epoch", "epochs_to_lmh_best", "difference_pct"]
+    rows = [
+        ["lmh", f"{lmh_report.best_m_recall:.6f}", f"{lmh_report.best_epoch:.6f}",
+         f"{lmh_report.best_epoch:.6f}", "0.0000"],
+        ["lseh", f"{lseh_report.best_m_recall:.6f}", f"{lseh_report.best_epoch:.6f}",
+         crossing_str, difference],
+    ]
+    write_csv(path, _resolved_header(cfg), columns, rows)
     print(f"wrote {path}")
     return 0
 

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DuplicateDescriptionId,
+    MalformedLine,
     MissingImageId,
     TruncatedFile,
 )
@@ -51,36 +52,31 @@ def _build_relevance(n_images: int, caption_image: list[int]) -> RelevanceMap:
 def load_dataset(
     captions_path: str | Path, features_path: str | Path, split: str = "train"
 ) -> Dataset:
-    """Load a (captions TSV, features matrix) pair with referential checks."""
-    lines = Path(features_path).read_text(encoding="utf-8").splitlines()
-    n_img, d_img = (int(x) for x in lines[0].split())
-    if len(lines) < 1 + n_img:
-        raise TruncatedFile(
-            f"{features_path}:{len(lines) + 1}: feature row {len(lines) - 1} is missing;"
-            f" the header declares {n_img} rows"
-        )
-    features = np.zeros((n_img, d_img))
-    for i in range(n_img):
-        row = np.array([float(x) for x in lines[1 + i].split()])
-        if row.shape[0] != d_img:
-            raise DimensionMismatch(
-                f"feature row {i} has {row.shape[0]} values, expected {d_img}"
-            )
-        features[i] = row
-
+    """Load a (captions TSV, features matrix) pair with referential checks.
+    A line that breaks either format fails with an error naming `path:line`."""
+    features = _load_features(features_path)
+    n_img = features.shape[0]
     captions: list[str] = []
     caption_image: list[int] = []
     seen_ids: set[str] = set()
-    for line in Path(captions_path).read_text(encoding="utf-8").splitlines():
+    lines = Path(captions_path).read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
-        desc_id, image_id, text = line.split("\t", 2)
+        where = f"{captions_path}:{lineno}"
+        try:
+            desc_id, image_id, text = line.split("\t", 2)
+            img = int(image_id)
+        except ValueError:
+            raise MalformedLine(
+                f"{where}: expected description_id<TAB>image_id<TAB>caption"
+                " with an integer image_id"
+            ) from None
         if desc_id in seen_ids:
-            raise DuplicateDescriptionId(f"duplicate description id {desc_id!r}")
+            raise DuplicateDescriptionId(f"{where}: duplicate description id {desc_id!r}")
         seen_ids.add(desc_id)
-        img = int(image_id)
         if not 0 <= img < n_img:
-            raise MissingImageId(f"caption {desc_id!r} references image {img}")
+            raise MissingImageId(f"{where}: caption {desc_id!r} references image {img}")
         captions.append(text)
         caption_image.append(img)
 
@@ -91,6 +87,37 @@ def load_dataset(
         relevance=_build_relevance(n_img, caption_image),
         split=split,
     )
+
+
+def _load_features(path: str | Path) -> np.ndarray:
+    """The header `n_img d_img`, then n_img rows of d_img finite floats."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise TruncatedFile(f"{path}:1: the file is empty; expected the header `n_img d_img`")
+    header = lines[0].split()
+    if len(header) != 2 or not all(x.isdecimal() for x in header):
+        raise MalformedLine(f"{path}:1: the header must be two non-negative integers `n_img d_img`")
+    n_img, d_img = (int(x) for x in header)
+    if len(lines) < 1 + n_img:
+        raise TruncatedFile(
+            f"{path}:{len(lines) + 1}: feature row {len(lines) - 1} is missing;"
+            f" the header declares {n_img} rows"
+        )
+    features = np.zeros((n_img, d_img))
+    for i in range(n_img):
+        try:
+            row = [float(x) for x in lines[1 + i].split()]
+        except ValueError:
+            raise MalformedLine(f"{path}:{i + 2}: feature row {i} holds a non-number") from None
+        if len(row) != d_img:
+            raise DimensionMismatch(
+                f"{path}:{i + 2}: feature row {i} has {len(row)} values, expected {d_img}"
+            )
+        features[i] = row
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise MalformedLine(f"{path}:{bad[0] + 2}: feature row {bad[0]} holds NaN or inf")
+    return features
 
 
 def save_dataset(ds: Dataset, captions_path: str | Path, features_path: str | Path):

@@ -7,13 +7,16 @@ through the normalization and the linear maps exactly (no autograd).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    BadCheckpoint,
     EmptySequence,
     NonFiniteGradient,
     ShapeMismatch,
@@ -48,7 +51,8 @@ class ForwardCache:
     X: np.ndarray               # b x d_img input features
     img_pre: np.ndarray         # b x d_emb, X @ W_img
     V: np.ndarray               # normalized image embeddings
-    token_seqs: list[list[int]]
+    ids: np.ndarray             # flat caption-major token ids
+    lengths: np.ndarray         # b token counts
     means: np.ndarray           # b x d_word mean word embeddings
     txt_pre: np.ndarray         # b x d_emb, means @ W_txt
     U: np.ndarray               # normalized text embeddings
@@ -78,49 +82,54 @@ def _normalize_rows(pre: np.ndarray) -> np.ndarray:
     return pre / norms[:, np.newaxis]
 
 
-def encode_images(params: ModelParams, X: np.ndarray) -> np.ndarray:
-    """Row-normalized X @ W_img."""
+def _features(params: ModelParams, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != params.W_img.shape[0]:
-        raise ShapeMismatch(
-            f"feature dim {X.shape[1]} != W_img rows {params.W_img.shape[0]}"
-        )
-    return _normalize_rows(X @ params.W_img)
+        raise ShapeMismatch(f"feature dim {X.shape[1]} != W_img rows {params.W_img.shape[0]}")
+    return X
 
 
-def _mean_embeddings(params: ModelParams, token_seqs: list[list[int]]) -> np.ndarray:
-    means = np.zeros((len(token_seqs), params.E_word.shape[1]))
-    for i, seq in enumerate(token_seqs):
-        if not seq:
-            raise EmptySequence(f"token sequence {i} is empty")
-        means[i] = params.E_word[np.asarray(seq, dtype=np.int64)].mean(axis=0)
-    return means
+def encode_images(params: ModelParams, X: np.ndarray) -> np.ndarray:
+    """Row-normalized X @ W_img."""
+    return _normalize_rows(_features(params, X) @ params.W_img)
+
+
+def _mean_embeddings(params: ModelParams, token_seqs: list[list[int]]):
+    """Mean word embedding per sequence, and the flat caption-major ids and lengths.
+    Zero-padded rows summed in token order, then divided, equal a per-row mean bit for bit."""
+    lengths = np.array([len(seq) for seq in token_seqs], dtype=np.int64)
+    if not lengths.all():
+        raise EmptySequence(f"token sequence {int(np.argmin(lengths))} is empty")
+    ids = np.fromiter(chain.from_iterable(token_seqs), np.int64, lengths.sum())
+    padded = np.arange(lengths.max(initial=0)) < lengths[:, np.newaxis]
+    grid = np.zeros(padded.shape, dtype=np.int64)
+    grid[padded] = ids
+    rows = params.E_word[grid]
+    rows[~padded] = 0.0
+    return rows.sum(axis=1) / lengths[:, np.newaxis], ids, lengths
 
 
 def encode_texts(params: ModelParams, token_seqs: list[list[int]]) -> np.ndarray:
     """Row-normalized (mean word embedding) @ W_txt."""
-    return _normalize_rows(_mean_embeddings(params, token_seqs) @ params.W_txt)
+    return _normalize_rows(_mean_embeddings(params, token_seqs)[0] @ params.W_txt)
 
 
 def forward(
     params: ModelParams, X: np.ndarray, token_seqs: list[list[int]]
 ) -> ForwardCache:
     """Encode a batch of (image features, token-id sequence) pairs."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[1] != params.W_img.shape[0]:
-        raise ShapeMismatch(
-            f"feature dim {X.shape[1]} != W_img rows {params.W_img.shape[0]}"
-        )
+    X = _features(params, X)
     if X.shape[0] != len(token_seqs):
         raise ShapeMismatch("batch sizes of images and texts disagree")
     img_pre = X @ params.W_img
-    means = _mean_embeddings(params, token_seqs)
+    means, ids, lengths = _mean_embeddings(params, token_seqs)
     txt_pre = means @ params.W_txt
     return ForwardCache(
         X=X,
         img_pre=img_pre,
         V=_normalize_rows(img_pre),
-        token_seqs=token_seqs,
+        ids=ids,
+        lengths=lengths,
         means=means,
         txt_pre=txt_pre,
         U=_normalize_rows(txt_pre),
@@ -157,9 +166,8 @@ def backward(params: ModelParams, cache: ForwardCache, grad_S: np.ndarray) -> Pa
     g_means = g_txt_pre @ params.W_txt.T
 
     g_E = np.zeros_like(params.E_word)
-    for i, seq in enumerate(cache.token_seqs):
-        contrib = g_means[i] / len(seq)
-        np.add.at(g_E, np.asarray(seq, dtype=np.int64), contrib)
+    contrib = np.repeat(g_means / cache.lengths[:, np.newaxis], cache.lengths, axis=0)
+    np.add.at(g_E, cache.ids, contrib)  # caption-major, so rows sum in per-caption order
     return ParamGrads(W_img=g_W_img, E_word=g_E, W_txt=g_W_txt)
 
 
@@ -167,48 +175,47 @@ def sgd_step(params: ModelParams, grads: ParamGrads, learning_rate: float) -> No
     """In-place p <- p - lr * g."""
     if learning_rate <= 0:
         raise ValueError("learning_rate must be > 0")
-    for g in (grads.W_img, grads.E_word, grads.W_txt):
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient("gradient contains NaN or inf")
-    params.W_img -= learning_rate * grads.W_img
-    params.E_word -= learning_rate * grads.E_word
-    params.W_txt -= learning_rate * grads.W_txt
+    pairs = [(params.W_img, grads.W_img), (params.E_word, grads.E_word), (params.W_txt, grads.W_txt)]
+    if not all(np.all(np.isfinite(g)) for _, g in pairs):
+        raise NonFiniteGradient("gradient contains NaN or inf")
+    for p, g in pairs:
+        p -= learning_rate * g
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    """Binary checkpoint: magic, version, shapes, then row-major f64 LE."""
+    """Binary checkpoint: magic, version, shapes, then row-major f64 LE. It is
+    written beside `path` and renamed over it, so a failed write keeps the old one."""
     mats = [params.W_img, params.E_word, params.W_txt]
-    with open(Path(path), "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        for m in mats:
-            fh.write(struct.pack("<II", *m.shape))
-        for m in mats:
-            fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
+    shapes = [n for m in mats for n in m.shape]
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(struct.pack("<4sI6I", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *shapes))
+            for m in mats:
+                fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
-        raise ValueError("bad checkpoint magic")
+        raise BadCheckpoint(f"{path}: starts with {raw[:4]!r}, not the checkpoint magic")
     header = 8 + 3 * 8
     if len(raw) < header:
         raise TruncatedFile(f"{path}: {len(raw)} bytes, shorter than the checkpoint header")
     (version,) = struct.unpack("<I", raw[4:8])
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
+        raise BadCheckpoint(f"{path}: unsupported checkpoint version {version}")
     shapes = [struct.unpack_from("<II", raw, 8 + 8 * i) for i in range(3)]
     expected = header + 8 * sum(r * c for r, c in shapes)
     if len(raw) < expected:
         raise TruncatedFile(f"{path}: {len(raw)} bytes, but shapes {shapes} need {expected}")
-    mats = []
-    off = header
-    for shape in shapes:
-        count = shape[0] * shape[1]
-        mats.append(
-            np.frombuffer(raw[off : off + 8 * count], dtype="<f8")
-            .reshape(shape)
-            .copy()
-        )
-        off += 8 * count
+    mats, off = [], header
+    for r, c in shapes:
+        mats.append(np.frombuffer(raw, "<f8", r * c, off).reshape(r, c).copy())
+        off += 8 * r * c
     return ModelParams(*mats)

@@ -53,6 +53,14 @@ class TruncatedFile(SemhardError):
     """A file ends before the rows or bytes its header declares."""
 
 
+class BadCheckpoint(SemhardError, ValueError):
+    """A checkpoint file has the wrong magic bytes or an unsupported version."""
+
+
+class MalformedLine(SemhardError):
+    """A line of an input file does not follow the file's format."""
+
+
 class DuplicateDescriptionId(SemhardError):
     """Two captions carry the same description id."""
 

@@ -48,10 +48,11 @@ class HardNegStats:
     unique_desc: list[int] = field(default_factory=list)  # per batch: #DesEmbs
 
 
-def _rank_hits(scores: np.ndarray, relevant: set[int], k: int) -> bool:
-    # descending similarity, ties broken by lower candidate index
-    order = np.argsort(-scores, kind="stable")[:k]
-    return any(int(c) in relevant for c in order)
+def _ranks(scores: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Rank of candidate target[q] in each row q: by descending score, ties to the lower index."""
+    t = scores[np.arange(len(target)), target][:, np.newaxis]
+    before = np.arange(scores.shape[1]) < target[:, np.newaxis]
+    return np.count_nonzero((scores > t) | ((scores == t) & before), axis=1)
 
 
 def recall_at_k(
@@ -59,8 +60,9 @@ def recall_at_k(
 ) -> float:
     """Percentage of queries with >= 1 relevant item in the top k.
 
-    `sim` is images x descriptions; direction "i2t" queries rows,
-    "t2i" queries columns.
+    `sim` is images x descriptions; direction "i2t" queries rows, "t2i"
+    columns. An image ranks by its best-placed description (highest score,
+    then lowest index), whose rank is the minimum over its descriptions.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -70,16 +72,18 @@ def recall_at_k(
         raise ShapeMismatch("similarity shape disagrees with relevance map")
 
     if direction == I2T:
-        hits = sum(
-            _rank_hits(sim[i], relevance.img_to_desc[i], k) for i in range(n_img)
-        )
-        return 100.0 * hits / n_img
+        pairs = [(i, d) for i, rel in enumerate(relevance.img_to_desc) for d in rel]
+        rows, cols = np.array(pairs, dtype=np.int64).T
+        scores = sim[rows, cols]
+        top = np.full(n_img, -np.inf)
+        np.maximum.at(top, rows, scores)
+        best = np.full(n_img, n_desc)
+        tied = scores == top[rows]
+        np.minimum.at(best, rows[tied], cols[tied])
+        return 100.0 * np.count_nonzero(_ranks(sim, best) < k) / n_img
     if direction == T2I:
-        hits = sum(
-            _rank_hits(sim[:, d], {relevance.desc_to_img[d]}, k)
-            for d in range(n_desc)
-        )
-        return 100.0 * hits / n_desc
+        ranks = _ranks(sim.T, np.asarray(relevance.desc_to_img, dtype=np.int64))
+        return 100.0 * np.count_nonzero(ranks < k) / n_desc
     raise ValueError(f"direction must be {I2T!r} or {T2I!r}")
 
 
@@ -93,11 +97,7 @@ def m_recall(values: Sequence[float]) -> float:
 def retrieval_report(sim: np.ndarray, relevance: RelevanceMap) -> RetrievalReport:
     i2t = {k: recall_at_k(sim, relevance, k, I2T) for k in (1, 5, 10)}
     t2i = {k: recall_at_k(sim, relevance, k, T2I) for k in (1, 5, 10)}
-    return RetrievalReport(
-        i2t=i2t,
-        t2i=t2i,
-        m_recall=m_recall([*i2t.values(), *t2i.values()]),
-    )
+    return RetrievalReport(i2t, t2i, m_recall([*i2t.values(), *t2i.values()]))
 
 
 def efficiency_difference(epochs_new: float, epochs_ref: float) -> float:
@@ -129,33 +129,30 @@ def hard_negative_uniques(
     Each log entry is (hard_neg_img indices, hard_neg_desc indices) as
     produced by the max-of-hinges losses.
     """
-    stats = HardNegStats()
-    for img_idx, desc_idx in batch_logs:
-        stats.unique_img.append(len(set(int(i) for i in img_idx)))
-        stats.unique_desc.append(len(set(int(i) for i in desc_idx)))
-    return stats
+    logs = list(batch_logs)
+    return HardNegStats([len(set(map(int, img))) for img, _ in logs],
+                        [len(set(map(int, desc))) for _, desc in logs])
+
+
+def write_csv(path: str | Path, header: str, columns: Sequence[str], rows: Iterable) -> None:
+    """A `# header` comment line when `header` is set, the column names, then `rows`."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if header:
+            fh.write(f"# {header}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def write_report_csv(report: RetrievalReport, path: str | Path, header: str = ""):
     """CSV rows `direction,k,recall` plus an `m_recall` summary line."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["direction", "k", "recall"])
-        for k in (1, 5, 10):
-            writer.writerow([I2T, k, f"{report.i2t[k]:.6f}"])
-        for k in (1, 5, 10):
-            writer.writerow([T2I, k, f"{report.t2i[k]:.6f}"])
-        writer.writerow(["m_recall", "", f"{report.m_recall:.6f}"])
+    rows = [[d, k, f"{recalls[k]:.6f}"] for d, recalls in ((I2T, report.i2t), (T2I, report.t2i))
+            for k in (1, 5, 10)]
+    rows.append(["m_recall", "", f"{report.m_recall:.6f}"])
+    write_csv(path, header, ["direction", "k", "recall"], rows)
 
 
 def write_diagnostics_csv(stats: HardNegStats, path: str | Path, header: str = ""):
     """CSV `batch_index,unique_img,unique_desc`."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["batch_index", "unique_img", "unique_desc"])
-        for i, (ui, ud) in enumerate(zip(stats.unique_img, stats.unique_desc)):
-            writer.writerow([i, ui, ud])
+    rows = [[i, *pair] for i, pair in enumerate(zip(stats.unique_img, stats.unique_desc))]
+    write_csv(path, header, ["batch_index", "unique_img", "unique_desc"], rows)

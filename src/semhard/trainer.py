@@ -10,7 +10,6 @@ mean-recall score strictly improves. The CLI's eval and diag share
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 from . import encoder as enc
 from .data import Dataset, minibatches
 from .errors import EmptyBatch, SemanticRowMisalignment, UnknownConfigKey
-from .evaluation import retrieval_report
+from .evaluation import retrieval_report, write_csv
 from .losses import (
     LossConfig,
     LossOutput,
@@ -209,7 +208,10 @@ def train(
                     enc.save_checkpoint(params, checkpoint_path)
                     saved = True
 
-    _write_curve_csv(records, out_dir / curve_name, csv_header)
+    write_csv(
+        out_dir / curve_name, csv_header, ["epoch_fraction", "m_recall", "loss_mean"],
+        ([f"{frac:.6f}", f"{score:.6f}", f"{loss:.6f}"] for frac, score, loss in records),
+    )
     return TrainingReport(
         records=records,
         best_m_recall=float(best) if records else float("nan"),
@@ -217,16 +219,6 @@ def train(
         checkpoint_path=str(checkpoint_path) if saved else None,
         hard_neg_logs=hard_neg_logs,
     )
-
-
-def _write_curve_csv(records, path: Path, header: str):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["epoch_fraction", "m_recall", "loss_mean"])
-        for frac, score, loss_mean in records:
-            writer.writerow([f"{frac:.6f}", f"{score:.6f}", f"{loss_mean:.6f}"])
 
 
 # --- flat key=value config files -------------------------------------------

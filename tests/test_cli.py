@@ -206,6 +206,42 @@ class TestErrorPaths:
         assert code == 1
         assert err.startswith(f"error: {features}:5:")
 
+    @pytest.mark.parametrize("command", ["svd", "train"])
+    @pytest.mark.parametrize(
+        "features_text, line",
+        [("", 1), ("two 3\n", 1), ("2 2\n0.0 1.0\nnan 1.0\n", 3), ("2 2\n0.0 1.0\n2.0\n", 3)],
+        ids=["empty", "bad-header", "nan", "short-row"],
+    )
+    def test_bad_features_file_names_the_line(self, tmp_path, capsys, command, features_text, line):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "captions.tsv").write_text("d0\t0\tred cat\nd1\t1\tblue dog\n")
+        features = data / "features.txt"
+        features.write_text(features_text)
+        code, _, err = run(
+            [command, "--out", str(tmp_path / "o"), *TINY,
+             "--set", f"data.captions={data / 'captions.tsv'}",
+             "--set", f"data.features={features}"],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith(f"error: {features}:{line}:")
+
+    def test_malformed_caption_line_names_the_line(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run(["gen", "--out", str(data), *TINY], capsys)
+        captions = data / "captions.tsv"
+        lines = captions.read_text().splitlines()
+        captions.write_text("\n".join([*lines[:2], "d99 no tabs here", *lines[2:]]) + "\n")
+        code, _, err = run(
+            ["train", "--out", str(tmp_path / "o"), *TINY,
+             "--set", f"data.captions={captions}",
+             "--set", f"data.features={data / 'features.txt'}"],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith(f"error: {captions}:3:")
+
     def test_malformed_set_pair(self, tmp_path, capsys):
         code, _, err = run(
             ["train", "--out", str(tmp_path / "o"), "--set", "no_equals"], capsys

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from semhard.data import (
 from semhard.errors import (
     DimensionMismatch,
     DuplicateDescriptionId,
+    MalformedLine,
     MissingImageId,
+    TruncatedFile,
 )
 from semhard.losses import semantic_factor_matrix
 from semhard.textsem import PreprocessConfig, build_tfidf, preprocess, truncated_svd
@@ -59,6 +63,49 @@ class TestLoadDataset:
     def test_dimension_mismatch(self, tmp_path):
         cap, feat = write_pair(tmp_path, ["d0\t0\tok"], ["1 3", "0.0 1.0"])
         with pytest.raises(DimensionMismatch):
+            load_dataset(cap, feat)
+
+    def test_dimension_mismatch_names_file_and_line(self, tmp_path):
+        cap, feat = write_pair(tmp_path, ["d0\t0\tok"], ["2 2", "0.0 1.0", "2.0"])
+        with pytest.raises(DimensionMismatch, match=re.escape(f"{feat}:3:")):
+            load_dataset(cap, feat)
+
+    def test_empty_features_file(self, tmp_path):
+        cap, feat = write_pair(tmp_path, ["d0\t0\tok"], [])
+        feat.write_text("")
+        with pytest.raises(TruncatedFile, match=re.escape(f"{feat}:1:")):
+            load_dataset(cap, feat)
+
+    @pytest.mark.parametrize("header", ["two 3", "3", "1 2 3", "-1 2", "1.5 2", "1\u00b2 2", ""])
+    def test_malformed_header(self, tmp_path, header):
+        cap, feat = write_pair(tmp_path, ["d0\t0\tok"], [header, "0.0 1.0"])
+        with pytest.raises(MalformedLine, match=re.escape(f"{feat}:1:")):
+            load_dataset(cap, feat)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity", "x1"])
+    def test_bad_feature_value_names_its_line(self, tmp_path, bad):
+        cap, feat = write_pair(
+            tmp_path, ["d0\t0\tok"], ["3 2", "0.0 1.0", "1.0 2.0", f"{bad} 1.0"]
+        )
+        with pytest.raises(MalformedLine, match=re.escape(f"{feat}:4:")):
+            load_dataset(cap, feat)
+
+    @pytest.mark.parametrize(
+        "line", ["d1 1 no tabs", "d1\t1", "d1\tone\ttext", "d1\t1.0\ttext", "d1\t\ttext"]
+    )
+    def test_malformed_caption_line_names_its_line(self, tmp_path, line):
+        cap, feat = write_pair(
+            tmp_path, ["d0\t0\tok", "", line], ["2 2", "0.0 1.0", "1.0 2.0"]
+        )
+        with pytest.raises(MalformedLine, match=re.escape(f"{cap}:3:")):
+            load_dataset(cap, feat)
+
+    def test_reference_errors_name_file_and_line(self, tmp_path):
+        cap, feat = write_pair(tmp_path, ["d0\t0\tok", "d1\t7\tbad"], ["1 2", "0.0 1.0"])
+        with pytest.raises(MissingImageId, match=re.escape(f"{cap}:2:")):
+            load_dataset(cap, feat)
+        cap, feat = write_pair(tmp_path, ["d0\t0\ta", "d0\t0\tb"], ["1 2", "0.0 1.0"])
+        with pytest.raises(DuplicateDescriptionId, match=re.escape(f"{cap}:2:")):
             load_dataset(cap, feat)
 
     def test_round_trip(self, tmp_path):

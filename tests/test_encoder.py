@@ -1,8 +1,12 @@
+import os
+import struct
+
 import numpy as np
 import pytest
 
 from semhard import encoder as enc
 from semhard.errors import (
+    BadCheckpoint,
     EmptySequence,
     NonFiniteGradient,
     ShapeMismatch,
@@ -81,6 +85,50 @@ class TestEncodeTexts:
         params = make_params()
         with pytest.raises(EmptySequence):
             enc.encode_texts(params, [[1], []])
+
+
+def loop_mean_embeddings(params, seqs):
+    """Per-caption oracle: the mean of each sequence's embedding rows."""
+    return np.array([params.E_word[np.asarray(seq)].mean(axis=0) for seq in seqs])
+
+
+def loop_word_grad(params, seqs, g_means):
+    """Per-caption oracle: each caption spreads g_means[i] / len over its tokens."""
+    g_E = np.zeros_like(params.E_word)
+    for i, seq in enumerate(seqs):
+        np.add.at(g_E, np.asarray(seq), g_means[i] / len(seq))
+    return g_E
+
+
+def repeated_token_seqs(rng, n, vocab):
+    """Lengths 1..12 over a small alphabet, so most captions repeat tokens."""
+    seqs = [rng.integers(0, vocab, size=rng.integers(1, 13)).tolist() for _ in range(n)]
+    return [[3, 3, 3], [0], [5, 1, 5, 1, 5]] + seqs
+
+
+class TestTokenLayout:
+    def test_mean_embeddings_bit_identical_to_loop(self):
+        rng = np.random.default_rng(20)
+        for trial in range(10):
+            params = make_params(vocab=6, d_word=5, seed=trial)
+            seqs = repeated_token_seqs(rng, int(rng.integers(1, 40)), 6)
+            means, ids, lengths = enc._mean_embeddings(params, seqs)
+            assert np.array_equal(means, loop_mean_embeddings(params, seqs))
+            assert ids.tolist() == [t for seq in seqs for t in seq]
+            assert lengths.tolist() == [len(seq) for seq in seqs]
+
+    def test_word_grad_bit_identical_to_loop(self):
+        rng = np.random.default_rng(21)
+        for trial in range(10):
+            params = make_params(vocab=6, seed=trial)
+            seqs = repeated_token_seqs(rng, int(rng.integers(1, 20)), 6)
+            cache = enc.forward(params, rng.standard_normal((len(seqs), 5)), seqs)
+            grad_S = rng.standard_normal((len(seqs), len(seqs)))
+            g_U = grad_S.T @ cache.V
+            g_txt_pre = enc._grad_through_normalize(cache.txt_pre, cache.U, g_U)
+            g_means = g_txt_pre @ params.W_txt.T
+            grads = enc.backward(params, cache, grad_S)
+            assert np.array_equal(grads.E_word, loop_word_grad(params, seqs, g_means))
 
 
 def full_loss(params, X, seqs, cfg):
@@ -200,6 +248,65 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ValueError):
             enc.load_checkpoint(path)
+
+    def test_bytes_follow_the_format(self, tmp_path):
+        params = make_params(seed=14)
+        path = tmp_path / "model.ckpt"
+        enc.save_checkpoint(params, path)
+        mats = [params.W_img, params.E_word, params.W_txt]
+        expected = (
+            b"VSEC" + struct.pack("<I", 1)
+            + b"".join(struct.pack("<II", *m.shape) for m in mats)
+            + b"".join(m.astype("<f8").tobytes() for m in mats)
+        )
+        assert path.read_bytes() == expected
+
+    def test_no_temporary_file_left(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        enc.save_checkpoint(make_params(seed=15), path)
+        enc.save_checkpoint(make_params(seed=16), path)
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+        assert np.array_equal(enc.load_checkpoint(path).W_img, make_params(seed=16).W_img)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        enc.save_checkpoint(make_params(seed=17), path)
+        before = path.read_bytes()
+
+        class FailingFile:
+            """Writes the header and the first matrix, then fails like a full disk."""
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError("no space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(enc, "open", lambda p, mode: FailingFile(open(p, mode)), raising=False)
+        with pytest.raises(OSError, match="no space"):
+            enc.save_checkpoint(make_params(seed=18), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+
+    def test_bad_magic_and_version_name_the_path(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        enc.save_checkpoint(make_params(), path)
+        raw = path.read_bytes()
+        path.write_bytes(b"NOPE" + raw[4:])
+        with pytest.raises(BadCheckpoint, match="magic") as magic:
+            enc.load_checkpoint(path)
+        path.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:])
+        with pytest.raises(BadCheckpoint, match="version 2") as version:
+            enc.load_checkpoint(path)
+        assert str(path) in str(magic.value) and str(path) in str(version.value)
 
 
 class TestDeterminism:

@@ -46,6 +46,16 @@ def captions_per_image_relevance(n_img, cpi):
     return RelevanceMap(img_to_desc=img_to_desc, desc_to_img=desc_to_img)
 
 
+def shuffled_uneven_relevance(rng, n_img, max_per_image=4):
+    """1..max_per_image captions per image, in a shuffled caption order."""
+    counts = rng.integers(1, max_per_image + 1, size=n_img)
+    desc_to_img = rng.permutation(np.repeat(np.arange(n_img), counts)).tolist()
+    img_to_desc = [set() for _ in range(n_img)]
+    for d, img in enumerate(desc_to_img):
+        img_to_desc[img].add(d)
+    return RelevanceMap(img_to_desc=img_to_desc, desc_to_img=desc_to_img)
+
+
 class TestRecallAtK:
     def test_perfect_ranking(self):
         sim = np.eye(6) + 0.01
@@ -94,6 +104,31 @@ class TestRecallAtK:
         rel = one_to_one_relevance(12)
         for k in (1, 5, 10):
             assert recall_at_k(sim, rel, k, "i2t") == recall_at_k(sim, rel, k, "t2i")
+
+    def test_tie_heavy_oracle(self):
+        # three score levels: most candidates tie with the target
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            n_img = int(rng.integers(1, 16))
+            rel = shuffled_uneven_relevance(rng, n_img)
+            sim = rng.integers(0, 3, size=(n_img, len(rel.desc_to_img))).astype(float)
+            for k in (1, 2, 5, 10):
+                for direction in ("i2t", "t2i"):
+                    assert recall_at_k(sim, rel, k, direction) == brute_force_recall(
+                        sim, rel, k, direction
+                    )
+
+    def test_all_tied_ranks_by_index(self):
+        # every score equal: an image hits iff one of its captions has index < k,
+        # a caption hits iff its image has index < k
+        rel = RelevanceMap(
+            img_to_desc=[{4, 5}, {0}, {1, 3}, {2}], desc_to_img=[1, 2, 3, 2, 0, 0]
+        )
+        sim = np.zeros((4, 6))
+        assert recall_at_k(sim, rel, 1, "i2t") == 25.0   # image 1 via caption 0
+        assert recall_at_k(sim, rel, 2, "i2t") == 50.0   # + image 2 via caption 1
+        assert recall_at_k(sim, rel, 1, "t2i") == 100.0 * 2 / 6
+        assert recall_at_k(sim, rel, 3, "t2i") == 100.0 * 5 / 6
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
