@@ -14,7 +14,8 @@ class KTooLarge(SemhardError):
 
 
 class ConvergenceFailure(SemhardError):
-    """The iterative SVD solver did not meet its residual bound."""
+    """The truncated SVD did not converge: the subspace iteration's singular
+    values did not settle within its iteration cap, or ARPACK gave up."""
 
 
 class ShapeMismatch(SemhardError):

@@ -26,13 +26,25 @@ class RelevanceMap:
     desc_to_img: list[int]       # description index -> its image
 
     def __post_init__(self):
-        n_img = len(self.img_to_desc)
+        """Both maps must describe one partition of the descriptions:
+        recall reads img_to_desc for i2t and desc_to_img for t2i."""
+        n_img, n_desc = len(self.img_to_desc), len(self.desc_to_img)
         for img, rel in enumerate(self.img_to_desc):
             if not rel:
                 raise ValueError(f"image {img} has no relevant descriptions")
+            for d in rel:
+                if not 0 <= d < n_desc:
+                    raise ValueError(f"image {img} lists description {d} of {n_desc}")
+                if self.desc_to_img[d] != img:
+                    raise ValueError(
+                        f"image {img} lists description {d}, "
+                        f"which references image {self.desc_to_img[d]}"
+                    )
         for d, img in enumerate(self.desc_to_img):
             if not 0 <= img < n_img:
                 raise ValueError(f"description {d} references image {img}")
+            if d not in self.img_to_desc[img]:
+                raise ValueError(f"description {d} is listed under no image")
 
 
 @dataclass

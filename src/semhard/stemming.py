@@ -6,6 +6,8 @@ words; anything shorter than 3 characters is returned unchanged.
 
 from __future__ import annotations
 
+import functools
+
 _VOWELS = "aeiou"
 
 
@@ -164,8 +166,13 @@ def _step5b(word: str) -> str:
     return word
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def stem(word: str) -> str:
-    """Stem one lowercase alphabetic word."""
+    """Stem one lowercase alphabetic word.
+
+    Memoized: a caption corpus repeats a few thousand distinct words many
+    times over, and the result is an immutable str of the word alone.
+    """
     if len(word) <= 2:
         return word
     word = _step1a(word)

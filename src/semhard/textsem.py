@@ -1,8 +1,9 @@
 """Corpus semantics: preprocessing, TF-IDF, truncated SVD, row cosines.
 
 The description corpus is turned into a sparse term-document matrix
-(raw term count x ln(n/df)) and reduced with a randomized truncated SVD;
-the cosines of the reduced rows are the semantic similarities.
+(raw term count x ln(n/df)) and reduced with a truncated SVD: ARPACK for
+large inputs, randomized subspace iteration for small ones. The cosines
+of the reduced rows are the semantic similarities.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ SVD_OVERSAMPLE = 8
 SVD_MIN_ITERS = 4
 SVD_MAX_ITERS = 2000
 SVD_TOL = 1e-12
+
+# truncated_svd uses ARPACK when min(n, w) exceeds this: below it, ARPACK's
+# import costs more time and memory than the subspace iteration it replaces
+ARPACK_MIN_DIM = 1000
 
 
 @dataclass(frozen=True)
@@ -148,11 +153,15 @@ def truncated_svd(
     k: int,
     seed: int = 0,
 ) -> ReducedSemantics:
-    """Top-k singular triplets via randomized subspace iteration.
+    """Top-k singular triplets, to near machine precision.
 
-    Power iterations continue past SVD_MIN_ITERS until the singular-value
-    estimates stabilize below SVD_TOL relative change, so the result
-    matches a dense SVD to high accuracy even on flat spectra.
+    When min(n, w) > ARPACK_MIN_DIM and k < min(n, w), ARPACK
+    (`scipy.sparse.linalg.svds`, tol=0) solves it from a seeded start
+    vector. Otherwise randomized subspace iteration runs past
+    SVD_MIN_ITERS until the singular-value estimates change by less than
+    SVD_TOL, so it matches a dense SVD even on flat spectra. Either way
+    B = M @ V and each V column's largest-magnitude entry is positive.
+    Raises ConvergenceFailure when the chosen solver does not converge.
     """
     M = A.matrix if isinstance(A, TermDocMatrix) else A
     n, w = M.shape
@@ -160,6 +169,19 @@ def truncated_svd(
         raise KTooLarge(f"k={k} exceeds min(n, w)={min(n, w)}")
 
     rng = np.random.default_rng(seed)
+    if min(n, w) > ARPACK_MIN_DIM and k < min(n, w):
+        # imported here: loading scipy.sparse.linalg costs about 10 MB RSS and 0.13 s
+        from scipy.sparse.linalg import ArpackNoConvergence, svds
+
+        try:
+            _, s, Vt = svds(M, k=k, tol=0, v0=rng.standard_normal(min(n, w)),
+                            return_singular_vectors="vh")
+        except ArpackNoConvergence as exc:
+            raise ConvergenceFailure(
+                f"ARPACK did not converge for k={k} on a {n}x{w} matrix"
+            ) from exc
+        return _reduced_semantics(M, s, Vt)
+
     l = min(k + SVD_OVERSAMPLE, min(n, w))
     Q = np.linalg.qr(M @ rng.standard_normal((w, l)))[0]
 
@@ -176,14 +198,22 @@ def truncated_svd(
         prev = s
     else:
         raise ConvergenceFailure(
-            f"singular values did not stabilize within {SVD_MAX_ITERS} iterations"
+            f"singular values did not stabilize within {SVD_MAX_ITERS} "
+            f"iterations for k={k} on a {n}x{w} matrix"
         )
 
     _, s, Vt = np.linalg.svd(Q.T @ M, full_matrices=False)
-    V = np.ascontiguousarray(Vt[:k].T)
+    return _reduced_semantics(M, s[:k], Vt[:k])
+
+
+def _reduced_semantics(M, s: np.ndarray, Vt: np.ndarray) -> ReducedSemantics:
+    """Order the k triplets by descending singular value (stable), then
+    B = M @ V with canonical column signs."""
+    order = np.argsort(-s, kind="stable")
+    V = np.ascontiguousarray(Vt[order].T)
     B = np.asarray(M @ V)
     _canonicalize_signs(V, B)
-    return ReducedSemantics(B=B, singular_values=s[:k].copy(), V=V)
+    return ReducedSemantics(B=B, singular_values=s[order], V=V)
 
 
 def cosine_matrix(rows: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import encoder as enc
 from .data import Dataset, minibatches
-from .errors import EmptyBatch, SemanticRowMisalignment, UnknownConfigKey
+from .errors import EmptyBatch, EmptySequence, SemanticRowMisalignment, UnknownConfigKey
 from .evaluation import retrieval_report, write_csv
 from .losses import (
     LossConfig,
@@ -70,9 +70,15 @@ def corpus_semantics(
 ) -> tuple[ReducedSemantics, list[list[str]]]:
     """Preprocess captions, build TF-IDF, and reduce with truncated SVD."""
     token_seqs = [preprocess(c, pre_cfg) for c in captions]
+    return _svd_of_tokens(token_seqs, k_ceiling, seed), token_seqs
+
+
+def _svd_of_tokens(
+    token_seqs: list[list[str]], k_ceiling: int, seed: int
+) -> ReducedSemantics:
     _, tdm = build_tfidf(token_seqs)
     k = min(k_ceiling, min(tdm.shape) - 1)
-    return truncated_svd(tdm, k, seed=seed), token_seqs
+    return truncated_svd(tdm, k, seed=seed)
 
 
 @dataclass
@@ -93,19 +99,28 @@ def prepare_text(
 ) -> PreparedText:
     """Preprocess each split once and map it to ids over the sorted train
     vocabulary, dropping out-of-vocabulary tokens. With `svd_k`, the train
-    split also goes through TF-IDF and the truncated SVD."""
-    if svd_k is None:
-        sem, train_tokens = None, [preprocess(c, pre_cfg) for c in train_captions]
-    else:
-        sem, train_tokens = corpus_semantics(train_captions, pre_cfg, svd_k, seed)
+    split also goes through TF-IDF and the truncated SVD.
+
+    Raises EmptySequence, before any SVD, for a caption of either split
+    that keeps no in-vocabulary token: the encoder cannot embed it.
+    """
+    train_tokens = [preprocess(c, pre_cfg) for c in train_captions]
     terms = sorted({t for seq in train_tokens for t in seq})
     vocab = {t: i for i, t in enumerate(terms)}
 
-    def to_ids(token_seqs):
-        return [[vocab[t] for t in seq if t in vocab] for seq in token_seqs]
+    def to_ids(split, token_seqs):
+        ids = [[vocab[t] for t in seq if t in vocab] for seq in token_seqs]
+        empty = next((i for i, seq in enumerate(ids) if not seq), None)
+        if empty is not None:
+            raise EmptySequence(
+                f"{split} caption {empty} has no in-vocabulary token after preprocessing"
+            )
+        return ids
 
-    val_tokens = [preprocess(c, pre_cfg) for c in val_captions]
-    return PreparedText(len(vocab), to_ids(train_tokens), to_ids(val_tokens), sem)
+    train_ids = to_ids("train", train_tokens)
+    val_ids = to_ids("val", [preprocess(c, pre_cfg) for c in val_captions])
+    sem = None if svd_k is None else _svd_of_tokens(train_tokens, svd_k, seed)
+    return PreparedText(len(vocab), train_ids, val_ids, sem)
 
 
 def batch_loss(

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -248,3 +253,14 @@ class TestErrorPaths:
         )
         assert code == 1
         assert "key=value" in err
+
+
+def test_import_loads_no_arpack():
+    # scipy.sparse.linalg costs about 10 MB RSS and 0.13 s to import; only
+    # truncated_svd's ARPACK branch may load it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, semhard.cli; print('scipy.sparse.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -256,3 +256,12 @@ class TestRelevanceMap:
     def test_rejects_out_of_range_image(self):
         with pytest.raises(ValueError):
             RelevanceMap(img_to_desc=[{0}], desc_to_img=[3])
+
+    @pytest.mark.parametrize("img_to_desc,desc_to_img,message", [
+        ([{0, 2}], [0, 0], "lists description 2 of 2"),
+        ([{0, 1}, {1}], [0, 1], "lists description 1, which references image 1"),
+        ([{0}], [0] * 3, "description 1 is listed under no image"),
+    ])
+    def test_rejects_maps_that_disagree(self, img_to_desc, desc_to_img, message):
+        with pytest.raises(ValueError, match=message):
+            RelevanceMap(img_to_desc=img_to_desc, desc_to_img=desc_to_img)

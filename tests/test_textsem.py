@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from semhard.errors import AllDocumentsEmpty, KTooLarge
+from semhard import textsem
+from semhard.data import SyntheticSpec, generate_synthetic
+from semhard.errors import AllDocumentsEmpty, ConvergenceFailure, KTooLarge
 from semhard.stemming import stem
 from semhard.textsem import (
     PreprocessConfig,
@@ -76,6 +79,14 @@ class TestPreprocess:
     def test_min_token_length_validated(self):
         with pytest.raises(ValueError):
             PreprocessConfig(min_token_length=0)
+
+    def test_memoized_stem_gives_the_same_tokens(self, monkeypatch):
+        captions = generate_synthetic(SyntheticSpec(n_clusters=4, seed=2)).captions
+        stem.cache_clear()
+        memoized = [preprocess(c) for c in captions]
+        assert stem.cache_info().hits > 0
+        monkeypatch.setattr(textsem, "stem", stem.__wrapped__)
+        assert [preprocess(c) for c in captions] == memoized
 
 
 class TestBuildTfidf:
@@ -184,6 +195,72 @@ class TestTruncatedSvd:
         rng = np.random.default_rng(19)
         sem = truncated_svd(rng.standard_normal((20, 25)), 8, seed=0)
         assert np.all(np.diff(sem.singular_values) <= 1e-12)
+
+
+class TestArpackPath:
+    """Inputs with min(n, w) > ARPACK_MIN_DIM and k < min(n, w) go to svds."""
+
+    K = 16
+
+    @pytest.fixture(scope="class")
+    def sparse(self):
+        A = sp.random(1200, 1100, density=0.01, format="csr", random_state=3)
+        return A, np.linalg.svd(A.toarray(), compute_uv=False)
+
+    @pytest.fixture
+    def svds_calls(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        calls, real = [], scipy.sparse.linalg.svds
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", counting)
+        return calls
+
+    def test_matches_dense_oracle(self, sparse, svds_calls):
+        A, s_true = sparse
+        sem = truncated_svd(A, self.K, seed=4)
+        assert svds_calls == [A.shape]
+        assert np.allclose(sem.singular_values, s_true[: self.K], rtol=1e-8, atol=0)
+        assert np.array_equal(sem.B, A @ sem.V)
+        assert np.allclose(sem.V.T @ sem.V, np.eye(self.K), atol=1e-10)
+
+    def test_low_rank_residual_identity(self, sparse):
+        A, s_true = sparse
+        sem = truncated_svd(A, self.K, seed=4)
+        dense = A.toarray()
+        resid = np.linalg.norm(dense - sem.B @ sem.V.T, "fro") ** 2
+        expect = np.linalg.norm(dense, "fro") ** 2 - np.sum(s_true[: self.K] ** 2)
+        assert abs(resid - expect) / np.linalg.norm(dense, "fro") ** 2 <= 1e-10
+
+    def test_same_seed_bit_identical(self, sparse):
+        A, _ = sparse
+        a = truncated_svd(A, self.K, seed=4)
+        b = truncated_svd(A, self.K, seed=4)
+        for x, y in ((a.B, b.B), (a.V, b.V), (a.singular_values, b.singular_values)):
+            assert np.array_equal(x, y)
+
+    def test_full_rank_k_takes_the_numpy_path(self, monkeypatch, svds_calls):
+        # svds needs k < min(n, w); the threshold is lowered to keep this small
+        monkeypatch.setattr(textsem, "ARPACK_MIN_DIM", 20)
+        A = np.random.default_rng(6).standard_normal((40, 30))
+        sem = truncated_svd(A, 30, seed=0)
+        assert svds_calls == []
+        assert np.allclose(sem.singular_values, dense_svd_oracle(A, 30), rtol=1e-8)
+        assert np.allclose(sem.B @ sem.V.T, A, atol=1e-10)
+
+    def test_no_convergence_is_convergence_failure(self, sparse, monkeypatch):
+        import scipy.sparse.linalg
+
+        def stalls(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("stalled", None, None)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", stalls)
+        with pytest.raises(ConvergenceFailure, match=r"k=16 on a 1200x1100"):
+            truncated_svd(sparse[0], self.K, seed=4)
 
 
 class TestSemanticSimilarity:

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
+import semhard.trainer
 from semhard import encoder as enc
 from semhard.data import SyntheticSpec, generate_synthetic, split_dataset
-from semhard.errors import SemanticRowMisalignment, UnknownConfigKey
+from semhard.errors import EmptySequence, SemanticRowMisalignment, UnknownConfigKey
 from semhard.evaluation import retrieval_report
 from semhard.losses import LossConfig
-from semhard.textsem import ReducedSemantics
+from semhard.textsem import PreprocessConfig, ReducedSemantics
 from semhard.trainer import (
     CONFIG_DEFAULTS,
     TrainConfig,
     apply_overrides,
     parse_config_file,
+    prepare_text,
     train,
     train_config_from_dict,
     with_loss_variant,
@@ -101,6 +103,37 @@ class TestTrain:
         assert r_decay.records != r_plain.records
 
 
+class TestPrepareText:
+    CAPTIONS = ["a red bicycle", "two dogs running", "a red kite flying"]
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls, real = [], semhard.trainer.truncated_svd
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(semhard.trainer, "truncated_svd", spy)
+        return calls
+
+    def test_ids_and_semantics(self, svd_calls):
+        text = prepare_text(self.CAPTIONS, ["red dogs"], PreprocessConfig(), svd_k=1)
+        assert svd_calls == [1]
+        assert text.vocab_size == 7
+        assert [len(ids) for ids in text.train_ids] == [2, 3, 3]
+        assert text.sem.B.shape == (3, 1)
+
+    @pytest.mark.parametrize("train_extra,val,message", [
+        (["the a of"], ["red dogs"], "train caption 3"),
+        ([], ["red dogs", "an unseen zebra"], "val caption 1"),
+    ])
+    def test_empty_caption_fails_before_the_svd(self, svd_calls, train_extra, val, message):
+        with pytest.raises(EmptySequence, match=message):
+            prepare_text(self.CAPTIONS + train_extra, val, PreprocessConfig(), svd_k=1)
+        assert svd_calls == []
+
+
 class TestValidateBaseline:
     def test_random_model_recall_near_chance(self):
         # untrained unit embeddings: expected Recall@k is about 100*k/n
@@ -127,11 +160,13 @@ class TestValidateBaseline:
         assert retrieval_report(sim, rel).m_recall == 100.0
 
     def test_rank_three_counts_at_5_not_1(self):
-        sim = np.zeros((1, 5))
+        # image 0 ranks its caption third; image 1 ranks caption 0 above all of its own
+        sim = np.zeros((2, 5))
         sim[0] = [0.5, 0.9, 0.8, 0.1, 0.0]
+        sim[1] = [1.0, 0.0, 0.0, 0.0, 0.0]
         from semhard.evaluation import RelevanceMap, recall_at_k
 
-        rel = RelevanceMap(img_to_desc=[{0}], desc_to_img=[0] * 5)
+        rel = RelevanceMap(img_to_desc=[{0}, {1, 2, 3, 4}], desc_to_img=[0, 1, 1, 1, 1])
         assert recall_at_k(sim, rel, 1, "i2t") == 0.0
         assert recall_at_k(sim, rel, 5, "i2t") == 100.0
 
