@@ -22,7 +22,7 @@ from .data import (
     save_dataset,
     split_dataset,
 )
-from .errors import BeforeFirstValidation, EmptyDataset, SemhardError
+from .errors import BeforeFirstValidation, EmptyDataset, SemhardError, ShapeMismatch
 from .evaluation import (
     efficiency_difference,
     epochs_to_threshold,
@@ -37,6 +37,7 @@ from .textsem import PreprocessConfig, export_semantics
 from .trainer import (
     CONFIG_DEFAULTS,
     apply_overrides,
+    from_config,
     parse_config_file,
     train_config_from_dict,
 )
@@ -55,33 +56,16 @@ def _load_config(args) -> dict[str, object]:
 
 
 def _preprocess_config(cfg: dict[str, object]) -> PreprocessConfig:
-    stopwords = None
-    if cfg["data.stopwords"]:
-        stopwords = load_stopwords(str(cfg["data.stopwords"]))
-    kwargs = {"min_token_length": int(cfg["min_token_length"]),
-              "stemming_enabled": bool(cfg["stemming"])}
-    if stopwords is not None:
-        kwargs["stopword_list"] = stopwords
-    return PreprocessConfig(**kwargs)
-
-
-def _synthetic_spec(cfg: dict[str, object]) -> SyntheticSpec:
-    return SyntheticSpec(
-        n_clusters=int(cfg["gen.clusters"]),
-        items_per_cluster=int(cfg["gen.images_per_cluster"]),
-        captions_per_image=int(cfg["gen.captions_per_image"]),
-        d_img=int(cfg["gen.d_img"]),
-        overlap=float(cfg["gen.overlap"]),
-        noise=float(cfg["gen.noise"]),
-        seed=int(cfg["seed"]),
-    )
+    stopwords = cfg["data.stopwords"]
+    extra = {"stopword_list": load_stopwords(stopwords)} if stopwords else {}
+    return from_config(PreprocessConfig, cfg, **extra)
 
 
 def _load(cfg: dict[str, object]) -> Dataset:
     """The configured dataset files, or else the synthetic spec's corpus."""
     if cfg["data.captions"] and cfg["data.features"]:
-        return load_dataset(str(cfg["data.captions"]), str(cfg["data.features"]))
-    return generate_synthetic(_synthetic_spec(cfg))
+        return load_dataset(cfg["data.captions"], cfg["data.features"])
+    return generate_synthetic(from_config(SyntheticSpec, cfg, seed=cfg["seed"]))
 
 
 def _load_or_generate(cfg: dict[str, object]) -> tuple[Dataset, Dataset]:
@@ -90,7 +74,23 @@ def _load_or_generate(cfg: dict[str, object]) -> tuple[Dataset, Dataset]:
     ds = _load(cfg)
     if ds.n_captions == 0:
         raise EmptyDataset("dataset holds no captions")
-    return split_dataset(ds, float(cfg["val_fraction"]), int(cfg["seed"]))
+    return split_dataset(ds, cfg["val_fraction"], cfg["seed"])
+
+
+def _checkpoint_text(checkpoint, cfg, train_ds, val_captions, svd_k=None):
+    """The checkpoint's weights and the captions as ids over the vocabulary
+    rebuilt from `cfg`, which must be as large as the one it was trained on."""
+    params = enc.load_checkpoint(checkpoint)
+    text = trainer.prepare_text(
+        train_ds.captions, val_captions, _preprocess_config(cfg), svd_k, cfg["seed"]
+    )
+    if params.E_word.shape[0] != text.vocab_size:
+        raise ShapeMismatch(
+            f"{checkpoint}: the checkpoint embeds {params.E_word.shape[0]} words,"
+            f" but this config's training split has {text.vocab_size};"
+            " pass the training run's config and seed"
+        )
+    return params, text
 
 
 def _run_one_training(cfg, out_dir, variant=None, tag=""):
@@ -121,8 +121,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     train_ds, val_ds = _load_or_generate(cfg)
-    params = enc.load_checkpoint(args.checkpoint)
-    text = trainer.prepare_text(train_ds.captions, val_ds.captions, _preprocess_config(cfg))
+    params, text = _checkpoint_text(args.checkpoint, cfg, train_ds, val_ds.captions)
     V = enc.encode_images(params, val_ds.features)
     U = enc.encode_texts(params, text.val_ids)
     report = retrieval_report(V @ U.T, val_ds.relevance)
@@ -135,8 +134,9 @@ def cmd_eval(args) -> int:
 
 def cmd_svd(args) -> int:
     cfg = _load_config(args)
+    tcfg = train_config_from_dict(cfg)
     sem, _ = trainer.corpus_semantics(
-        _load(cfg).captions, _preprocess_config(cfg), int(cfg["svd_k"]), int(cfg["seed"])
+        _load(cfg).captions, _preprocess_config(cfg), tcfg.svd_k, tcfg.seed
     )
     Path(args.out).mkdir(parents=True, exist_ok=True)
     out = Path(args.out) / "semantics.bin"
@@ -147,7 +147,7 @@ def cmd_svd(args) -> int:
 
 def cmd_gen(args) -> int:
     cfg = _load_config(args)
-    ds = generate_synthetic(_synthetic_spec(cfg))
+    ds = generate_synthetic(from_config(SyntheticSpec, cfg, seed=cfg["seed"]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(ds, out / "captions.tsv", out / "features.txt")
@@ -195,9 +195,8 @@ def cmd_diag(args) -> int:
     if tcfg.loss.variant == "lsh":
         raise SemhardError("diagnostics need a max-of-hinges loss variant")
     train_ds, _ = _load_or_generate(cfg)
-    params = enc.load_checkpoint(args.checkpoint)
     svd_k = tcfg.svd_k if tcfg.loss.variant == "lseh" else None
-    text = trainer.prepare_text(train_ds.captions, [], _preprocess_config(cfg), svd_k, tcfg.seed)
+    params, text = _checkpoint_text(args.checkpoint, cfg, train_ds, [], svd_k)
     logs = []
     for batch in minibatches(train_ds.n_captions, tcfg.batch_size, tcfg.seed, 0):
         _, out = trainer.batch_loss(params, train_ds, text.train_ids, batch, tcfg.loss, text.sem)

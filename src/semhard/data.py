@@ -21,6 +21,7 @@ from .errors import (
     MalformedLine,
     MissingImageId,
     TruncatedFile,
+    UncaptionedImage,
 )
 from .evaluation import RelevanceMap
 
@@ -53,7 +54,8 @@ def load_dataset(
     captions_path: str | Path, features_path: str | Path, split: str = "train"
 ) -> Dataset:
     """Load a (captions TSV, features matrix) pair with referential checks.
-    A line that breaks either format fails with an error naming `path:line`."""
+    A line that breaks either format, and an image without a caption, fail
+    with an error naming `path:line`."""
     features = _load_features(features_path)
     n_img = features.shape[0]
     captions: list[str] = []
@@ -79,6 +81,13 @@ def load_dataset(
             raise MissingImageId(f"{where}: caption {desc_id!r} references image {img}")
         captions.append(text)
         caption_image.append(img)
+
+    uncaptioned = np.flatnonzero(np.bincount(caption_image, minlength=n_img) == 0)
+    if uncaptioned.size:
+        img = uncaptioned[0]
+        raise UncaptionedImage(
+            f"{features_path}:{img + 2}: image {img} has no caption in {captions_path}"
+        )
 
     return Dataset(
         features=features,

@@ -34,16 +34,16 @@ class NonFiniteGradient(SemhardError):
     """A gradient contained NaN or infinity."""
 
 
-class SemanticRowMisalignment(SemhardError):
-    """Reduced semantic rows do not align with the dataset description order."""
-
-
 class EmptyBatch(SemhardError):
     """A mini-batch was empty or too small for the loss to be defined."""
 
 
 class MissingImageId(SemhardError):
     """A caption references an image id that does not exist."""
+
+
+class UncaptionedImage(SemhardError):
+    """An image of the features file has no caption in the captions file."""
 
 
 class DimensionMismatch(SemhardError):
@@ -76,3 +76,7 @@ class BeforeFirstValidation(SemhardError):
 
 class UnknownConfigKey(SemhardError):
     """A config file or override used a key that is not recognised."""
+
+
+class BadConfigValue(SemhardError):
+    """A config file or override gave a value of the wrong type for its key."""

@@ -71,10 +71,6 @@ class ReducedSemantics:
     singular_values: np.ndarray  # length k, nonincreasing
     V: np.ndarray                # w x k, orthonormal columns
 
-    @property
-    def n_rows(self) -> int:
-        return self.B.shape[0]
-
 
 def preprocess(text: str, cfg: PreprocessConfig = PreprocessConfig()) -> list[str]:
     """Lowercase, keep alphabetic runs, drop stopwords, stem, drop short tokens.

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import encoder as enc
-from .data import Dataset, minibatches
-from .errors import EmptyBatch, EmptySequence, SemanticRowMisalignment, UnknownConfigKey
+from .data import Dataset, SyntheticSpec, minibatches
+from .errors import BadConfigValue, EmptyBatch, EmptySequence, MalformedLine, UnknownConfigKey
 from .evaluation import retrieval_report, write_csv
 from .losses import (
     LossConfig,
@@ -49,8 +49,10 @@ class TrainConfig:
     svd_k: int = 400               # ceiling; effective k = min(svd_k, min(n,w)-1)
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 2 or self.validation_step < 1:
-            raise ValueError("invalid training configuration")
+        for name, low in (("epochs", 1), ("batch_size", 2), ("validation_step", 1),
+                          ("learning_rate", 0), ("svd_k", 1), ("d_emb", 1), ("d_word", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -158,7 +160,6 @@ def train(
     cfg: TrainConfig,
     out_dir: str | Path,
     pre_cfg: PreprocessConfig = PreprocessConfig(),
-    sem: ReducedSemantics | None = None,
     curve_name: str = "training_curve.csv",
     checkpoint_name: str = "best.ckpt",
     csv_header: str = "",
@@ -167,13 +168,8 @@ def train(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if sem is not None and sem.n_rows != train_ds.n_captions:
-        raise SemanticRowMisalignment(
-            f"{sem.n_rows} semantic rows for {train_ds.n_captions} descriptions"
-        )
-    svd_k = cfg.svd_k if sem is None and cfg.loss.variant == "lseh" else None
+    svd_k = cfg.svd_k if cfg.loss.variant == "lseh" else None
     text = prepare_text(train_ds.captions, val_ds.captions, pre_cfg, svd_k, cfg.seed)
-    sem = text.sem if sem is None else sem
 
     params = enc.init_params(
         d_img=train_ds.features.shape[1],
@@ -199,7 +195,7 @@ def train(
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate / (10.0 if epoch >= cfg.lr_update_epoch else 1.0)
         for batch in minibatches(train_ds.n_captions, cfg.batch_size, cfg.seed, epoch):
-            cache, out = batch_loss(params, train_ds, text.train_ids, batch, cfg.loss, sem)
+            cache, out = batch_loss(params, train_ds, text.train_ids, batch, cfg.loss, text.sem)
             loss_acc.append(out.value)
             if out.hard_neg_img is not None:
                 hard_neg_logs.append(
@@ -238,64 +234,70 @@ def train(
 
 # --- flat key=value config files -------------------------------------------
 
+# Config key -> (config class, field). Each default lives in its dataclass;
+# `from_config` reads the keys of one class back out of a resolved config.
+_FIELDS: dict[str, tuple[type, str]] = {
+    **{name: (TrainConfig, name) for name in (
+        "seed", "epochs", "batch_size", "validation_step", "learning_rate",
+        "lr_update_epoch", "d_emb", "d_word", "svd_k")},
+    "loss.variant": (LossConfig, "variant"),
+    "loss.alpha": (LossConfig, "alpha"),
+    "loss.lambda": (LossConfig, "lam"),
+    "min_token_length": (PreprocessConfig, "min_token_length"),
+    "stemming": (PreprocessConfig, "stemming_enabled"),
+    "gen.clusters": (SyntheticSpec, "n_clusters"),
+    "gen.images_per_cluster": (SyntheticSpec, "items_per_cluster"),
+    **{f"gen.{name}": (SyntheticSpec, name)
+       for name in ("captions_per_image", "d_img", "overlap", "noise")},
+}
+
+# A dataclass field's default is its class attribute.
 CONFIG_DEFAULTS: dict[str, object] = {
-    "seed": 0,
-    "epochs": 5,
-    "batch_size": 32,
-    "validation_step": 5,
-    "learning_rate": 0.2,
-    "lr_update_epoch": 1000,
-    "d_emb": 64,
-    "d_word": 64,
-    "svd_k": 400,
-    "min_token_length": 3,
-    "stemming": True,
+    **{key: getattr(cls, name) for key, (cls, name) in _FIELDS.items()},
     "val_fraction": 0.15,
-    "loss.variant": "lseh",
-    "loss.alpha": 0.185,
-    "loss.lambda": 0.025,
     "data.captions": "",
     "data.features": "",
     "data.stopwords": "",
-    "gen.clusters": 8,
-    "gen.images_per_cluster": 25,
-    "gen.captions_per_image": 5,
-    "gen.d_img": 32,
-    "gen.overlap": 0.8,
-    "gen.noise": 0.3,
 }
 
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_EXPECTS = {bool: "one of " + "/".join(_BOOLS), int: "an integer", float: "a finite number"}
 
-def _coerce(key: str, raw: str):
-    default = CONFIG_DEFAULTS[key]
-    if isinstance(default, bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"bad boolean for {key}: {raw!r}")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
+
+def from_config(cls, cfg: dict[str, object], **extra):
+    """Build `cls` from the config keys `_FIELDS` maps onto its fields;
+    `extra` supplies the fields no key of its own sets."""
+    return cls(**{name: cfg[key] for key, (owner, name) in _FIELDS.items() if owner is cls},
+               **extra)
+
+
+def _assign(cfg: dict[str, object], pair: str, where: str) -> None:
+    """Set one `key=value` pair, typed like the key's default. Every error
+    names `where` (`path:line` or `--set`) and, once parsed, the key."""
+    key, sep, raw = (part.strip() for part in pair.partition("="))
+    if not sep:
+        raise MalformedLine(f"{where}: expected key=value, got {pair!r}")
+    if key not in CONFIG_DEFAULTS:
+        raise UnknownConfigKey(f"{where}: unknown key {key!r}")
+    kind = type(CONFIG_DEFAULTS[key])
+    try:
+        value = _BOOLS[raw.lower()] if kind is bool else kind(raw)
+        ok = kind is not float or np.isfinite(value)
+    except (KeyError, ValueError):
+        ok = False
+    if not ok:
+        raise BadConfigValue(f"{where}: {key} expects {_EXPECTS[kind]}, got {raw!r}")
+    cfg[key] = value
 
 
 def parse_config_file(path: str | Path) -> dict[str, object]:
-    """Flat UTF-8 key=value file; unknown keys are hard errors."""
+    """Flat UTF-8 key=value file over the defaults; `#` starts a comment line."""
     cfg = dict(CONFIG_DEFAULTS)
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), 1
-    ):
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, 1):
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_DEFAULTS:
-            raise UnknownConfigKey(f"{path}:{lineno}: unknown key {key!r}")
-        cfg[key] = _coerce(key, raw)
+        if line and not line.startswith("#"):
+            _assign(cfg, line, f"{path}:{lineno}")
     return cfg
 
 
@@ -303,32 +305,12 @@ def apply_overrides(cfg: dict[str, object], pairs: list[str]) -> dict[str, objec
     """Apply repeatable `--set key=value` overrides on top of a config."""
     cfg = dict(cfg)
     for pair in pairs:
-        if "=" not in pair:
-            raise ValueError(f"override must be key=value, got {pair!r}")
-        key, raw = (part.strip() for part in pair.split("=", 1))
-        if key not in CONFIG_DEFAULTS:
-            raise UnknownConfigKey(f"unknown config key {key!r}")
-        cfg[key] = _coerce(key, raw)
+        _assign(cfg, pair, "--set")
     return cfg
 
 
 def train_config_from_dict(cfg: dict[str, object]) -> TrainConfig:
-    return TrainConfig(
-        epochs=int(cfg["epochs"]),
-        batch_size=int(cfg["batch_size"]),
-        validation_step=int(cfg["validation_step"]),
-        learning_rate=float(cfg["learning_rate"]),
-        lr_update_epoch=int(cfg["lr_update_epoch"]),
-        loss=LossConfig(
-            alpha=float(cfg["loss.alpha"]),
-            lam=float(cfg["loss.lambda"]),
-            variant=str(cfg["loss.variant"]),
-        ),
-        seed=int(cfg["seed"]),
-        d_emb=int(cfg["d_emb"]),
-        d_word=int(cfg["d_word"]),
-        svd_k=int(cfg["svd_k"]),
-    )
+    return from_config(TrainConfig, cfg, loss=from_config(LossConfig, cfg))
 
 
 def with_loss_variant(cfg: TrainConfig, variant: str, lam: float | None = None) -> TrainConfig:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import semhard.trainer
+from semhard import encoder as enc
 from semhard.cli import main
 
 TINY = [
@@ -128,6 +129,24 @@ class TestEvalAndDiag:
         assert code == 1
         assert err == "error: diagnostics need a max-of-hinges loss variant\n"
 
+    @pytest.mark.parametrize("command", ["eval", "diag"])
+    @pytest.mark.parametrize("clusters", [1, 3], ids=["smaller-vocab", "larger-vocab"])
+    def test_vocabulary_size_mismatch_names_the_checkpoint(
+        self, tmp_path, capsys, command, clusters
+    ):
+        run_dir = tmp_path / "run"
+        run(["train", "--out", str(run_dir), *TINY], capsys)
+        checkpoint = run_dir / "best.ckpt"
+        trained_words = enc.load_checkpoint(checkpoint).E_word.shape[0]
+        code, _, err = run(
+            [command, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "o"),
+             *TINY, "--set", f"gen.clusters={clusters}"],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith(f"error: {checkpoint}: the checkpoint embeds {trained_words} words")
+        assert err.rstrip().endswith("pass the training run's config and seed")
+
     def test_missing_checkpoint_is_error_exit(self, tmp_path, capsys):
         code, _, err = run(
             ["eval", "--checkpoint", str(tmp_path / "nope.ckpt"),
@@ -246,6 +265,15 @@ class TestErrorPaths:
         )
         assert code == 1
         assert err.startswith(f"error: {captions}:3:")
+
+    @pytest.mark.parametrize("command,pair", [
+        ("train", "learning_rate=-1"), ("train", "svd_k=0"), ("train", "batch_size=1"),
+        ("train", "d_emb=0"), ("train", "d_word=0"), ("svd", "svd_k=0"),
+    ])
+    def test_bad_training_value_names_its_key(self, tmp_path, capsys, command, pair):
+        code, _, err = run([command, "--out", str(tmp_path / "o"), *TINY, "--set", pair], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {pair.split('=')[0]} must be >= ")
 
     def test_malformed_set_pair(self, tmp_path, capsys):
         code, _, err = run(

@@ -18,6 +18,7 @@ from semhard.errors import (
     MalformedLine,
     MissingImageId,
     TruncatedFile,
+    UncaptionedImage,
 )
 from semhard.losses import semantic_factor_matrix
 from semhard.textsem import PreprocessConfig, build_tfidf, preprocess, truncated_svd
@@ -106,6 +107,15 @@ class TestLoadDataset:
             load_dataset(cap, feat)
         cap, feat = write_pair(tmp_path, ["d0\t0\ta", "d0\t0\tb"], ["1 2", "0.0 1.0"])
         with pytest.raises(DuplicateDescriptionId, match=re.escape(f"{cap}:2:")):
+            load_dataset(cap, feat)
+
+    def test_uncaptioned_image_names_its_feature_line(self, tmp_path):
+        cap, feat = write_pair(
+            tmp_path, ["d0\t0\tred cat", "d1\t1\tblue dog"],
+            ["3 2", "0.0 1.0", "1.0 2.0", "2.0 3.0"],
+        )
+        message = f"{feat}:4: image 2 has no caption in {cap}"
+        with pytest.raises(UncaptionedImage, match=re.escape(message)):
             load_dataset(cap, feat)
 
     def test_round_trip(self, tmp_path):

@@ -1,17 +1,23 @@
+import re
+from operator import attrgetter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import semhard.trainer
 from semhard import encoder as enc
 from semhard.data import SyntheticSpec, generate_synthetic, split_dataset
-from semhard.errors import EmptySequence, SemanticRowMisalignment, UnknownConfigKey
+from semhard.errors import BadConfigValue, EmptySequence, MalformedLine, UnknownConfigKey
 from semhard.evaluation import retrieval_report
 from semhard.losses import LossConfig
-from semhard.textsem import PreprocessConfig, ReducedSemantics
+from semhard.textsem import PreprocessConfig
 from semhard.trainer import (
+    _FIELDS,
     CONFIG_DEFAULTS,
     TrainConfig,
     apply_overrides,
+    from_config,
     parse_config_file,
     prepare_text,
     train,
@@ -78,14 +84,6 @@ class TestTrain:
         a = train(tr, va, small_cfg(), tmp_path / "d1")
         b = train(tr, va, small_cfg(), tmp_path / "d2")
         assert a.records == b.records
-
-    def test_misaligned_semantics_rejected(self, small_sets, tmp_path):
-        tr, va = small_sets
-        bad = ReducedSemantics(
-            B=np.ones((3, 2)), singular_values=np.ones(2), V=np.ones((5, 2))
-        )
-        with pytest.raises(SemanticRowMisalignment):
-            train(tr, va, small_cfg(), tmp_path / "bad", sem=bad)
 
     def test_curve_csv_written(self, small_sets, tmp_path):
         tr, va = small_sets
@@ -201,3 +199,69 @@ class TestConfigFiles:
         lmh = with_loss_variant(cfg, "lmh")
         assert lmh.loss.variant == "lmh"
         assert lmh.seed == cfg.seed
+
+    def test_defaults_keep_their_keys_values_and_types(self):
+        expected = {
+            "seed": 0, "epochs": 5, "batch_size": 32, "validation_step": 5,
+            "learning_rate": 0.2, "lr_update_epoch": 1000, "d_emb": 64, "d_word": 64,
+            "svd_k": 400, "min_token_length": 3, "stemming": True, "val_fraction": 0.15,
+            "loss.variant": "lseh", "loss.alpha": 0.185, "loss.lambda": 0.025,
+            "data.captions": "", "data.features": "", "data.stopwords": "",
+            "gen.clusters": 8, "gen.images_per_cluster": 25, "gen.captions_per_image": 5,
+            "gen.d_img": 32, "gen.overlap": 0.8, "gen.noise": 0.3,
+        }
+        assert CONFIG_DEFAULTS == expected
+        assert {k: type(v) for k, v in CONFIG_DEFAULTS.items()} == {
+            k: type(v) for k, v in expected.items()
+        }
+
+    # Where each table key must land, written out apart from the table itself.
+    FIELD_PATHS = {
+        "seed": "train.seed", "epochs": "train.epochs", "batch_size": "train.batch_size",
+        "validation_step": "train.validation_step", "learning_rate": "train.learning_rate",
+        "lr_update_epoch": "train.lr_update_epoch", "d_emb": "train.d_emb",
+        "d_word": "train.d_word", "svd_k": "train.svd_k",
+        "loss.variant": "train.loss.variant", "loss.alpha": "train.loss.alpha",
+        "loss.lambda": "train.loss.lam",
+        "min_token_length": "pre.min_token_length", "stemming": "pre.stemming_enabled",
+        "gen.clusters": "spec.n_clusters", "gen.images_per_cluster": "spec.items_per_cluster",
+        "gen.captions_per_image": "spec.captions_per_image", "gen.d_img": "spec.d_img",
+        "gen.overlap": "spec.overlap", "gen.noise": "spec.noise",
+    }
+
+    @pytest.mark.parametrize("key", sorted(FIELD_PATHS))
+    def test_every_table_key_reaches_its_field(self, key):
+        assert set(_FIELDS) == set(self.FIELD_PATHS)
+        default = CONFIG_DEFAULTS[key]
+        if isinstance(default, bool):
+            value = not default
+        elif isinstance(default, str):
+            value = "lmh"
+        else:
+            value = default + 1 if isinstance(default, int) else default / 2
+        cfg = apply_overrides(dict(CONFIG_DEFAULTS), [f"{key}={value}"])
+        built = SimpleNamespace(
+            train=train_config_from_dict(cfg),
+            pre=from_config(PreprocessConfig, cfg),
+            spec=from_config(SyntheticSpec, cfg),
+        )
+        assert value != default
+        assert attrgetter(self.FIELD_PATHS[key])(built) == value
+
+    @pytest.mark.parametrize("line,error,message", [
+        ("loss.alpha = wide", BadConfigValue, "loss.alpha expects a finite number, got 'wide'"),
+        ("learning_rate = nan", BadConfigValue, "learning_rate expects a finite number"),
+        ("epochs = 2.5", BadConfigValue, "epochs expects an integer, got '2.5'"),
+        ("stemming = maybe", BadConfigValue, "stemming expects one of true/1/yes/false/0/no"),
+        ("epochs 3", MalformedLine, "expected key=value, got 'epochs 3'"),
+        ("epcohs = 3", UnknownConfigKey, "unknown key 'epcohs'"),
+    ])
+    def test_file_errors_name_path_line_and_key(self, tmp_path, line, error, message):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"# comment\nepochs = 3\n{line}\n")
+        with pytest.raises(error, match="^" + re.escape(f"{path}:3: {message}")):
+            parse_config_file(path)
+
+    def test_set_errors_name_set_and_key(self):
+        with pytest.raises(BadConfigValue, match=r"^--set: epochs expects an integer, got 'abc'$"):
+            apply_overrides(dict(CONFIG_DEFAULTS), ["epochs=abc"])
