@@ -51,7 +51,7 @@ def _load_config(args) -> dict[str, object]:
     cfg = parse_config_file(args.config) if args.config else dict(CONFIG_DEFAULTS)
     cfg = apply_overrides(cfg, args.set or [])
     if args.seed is not None:
-        cfg["seed"] = args.seed
+        cfg = apply_overrides(cfg, [f"seed={args.seed}"], where="--seed")
     return cfg
 
 

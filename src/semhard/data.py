@@ -32,7 +32,6 @@ class Dataset:
     captions: list[str]         # caption text, file order
     caption_image: list[int]    # caption index -> image index
     relevance: RelevanceMap
-    split: str = "train"
 
     @property
     def n_images(self) -> int:
@@ -50,9 +49,7 @@ def _build_relevance(n_images: int, caption_image: list[int]) -> RelevanceMap:
     return RelevanceMap(img_to_desc=img_to_desc, desc_to_img=list(caption_image))
 
 
-def load_dataset(
-    captions_path: str | Path, features_path: str | Path, split: str = "train"
-) -> Dataset:
+def load_dataset(captions_path: str | Path, features_path: str | Path) -> Dataset:
     """Load a (captions TSV, features matrix) pair with referential checks.
     A line that breaks either format, and an image without a caption, fail
     with an error naming `path:line`."""
@@ -94,7 +91,6 @@ def load_dataset(
         captions=captions,
         caption_image=caption_image,
         relevance=_build_relevance(n_img, caption_image),
-        split=split,
     )
 
 
@@ -114,15 +110,15 @@ def _load_features(path: str | Path) -> np.ndarray:
         )
     features = np.zeros((n_img, d_img))
     for i in range(n_img):
+        fields = lines[1 + i].split()
+        if len(fields) != d_img:
+            raise DimensionMismatch(
+                f"{path}:{i + 2}: feature row {i} has {len(fields)} values, expected {d_img}"
+            )
         try:
-            row = [float(x) for x in lines[1 + i].split()]
+            features[i] = fields  # NumPy parses the strings as float() does
         except ValueError:
             raise MalformedLine(f"{path}:{i + 2}: feature row {i} holds a non-number") from None
-        if len(row) != d_img:
-            raise DimensionMismatch(
-                f"{path}:{i + 2}: feature row {i} has {len(row)} values, expected {d_img}"
-            )
-        features[i] = row
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise MalformedLine(f"{path}:{bad[0] + 2}: feature row {bad[0]} holds NaN or inf")
@@ -213,33 +209,17 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         captions=captions,
         caption_image=caption_image,
         relevance=_build_relevance(n_img, caption_image),
-        split="train",
     )
 
 
-def split_dataset(
-    ds: Dataset, val_fraction: float, seed: int, mode: str = "caption"
-) -> tuple[Dataset, Dataset]:
-    """Split into disjoint train/val pair sets.
-
-    mode="caption" holds out a fraction of each image's captions (images are
-    shared), so a trained model can actually generalize to the validation
-    pairs at desk scale. mode="image" holds out whole images with all their
-    captions.
-    """
-    if mode not in ("caption", "image"):
-        raise ValueError("mode must be 'caption' or 'image'")
+def split_dataset(ds: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Split into disjoint train/val pair sets by holding out a fraction of
+    each image's captions (images are shared), so a trained model can
+    actually generalize to the validation pairs at desk scale."""
     if not 0.0 < val_fraction < 1.0:
         raise ValueError("val_fraction must lie in (0, 1)")
-    rng = np.random.default_rng(seed)
-    if mode == "image":
-        n_val = max(1, int(round(val_fraction * ds.n_images)))
-        held_out = np.zeros(ds.n_images, dtype=bool)
-        held_out[rng.permutation(ds.n_images)[:n_val]] = True
-        val_caps = held_out[np.asarray(ds.caption_image, dtype=np.int64)]
-    else:
-        val_caps = _held_out_captions(ds, val_fraction, rng)
-    return _subset(ds, ~val_caps, "train"), _subset(ds, val_caps, "val")
+    val_caps = _held_out_captions(ds, val_fraction, np.random.default_rng(seed))
+    return _subset(ds, ~val_caps), _subset(ds, val_caps)
 
 
 def _held_out_captions(ds: Dataset, val_fraction: float, rng) -> np.ndarray:
@@ -258,7 +238,7 @@ def _held_out_captions(ds: Dataset, val_fraction: float, rng) -> np.ndarray:
     return val_caps
 
 
-def _subset(ds: Dataset, keep: np.ndarray, split: str) -> Dataset:
+def _subset(ds: Dataset, keep: np.ndarray) -> Dataset:
     """The captions under the `keep` mask and only the images they use,
     renumbered in order: an image with no caption on this side would have
     no relevant description, which RelevanceMap rejects."""
@@ -271,7 +251,6 @@ def _subset(ds: Dataset, keep: np.ndarray, split: str) -> Dataset:
         captions=[ds.captions[d] for d in caps],
         caption_image=caption_image,
         relevance=_build_relevance(len(used), caption_image),
-        split=split,
     )
 
 

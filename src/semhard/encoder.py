@@ -39,13 +39,6 @@ class ModelParams:
 
 
 @dataclass
-class ParamGrads:
-    W_img: np.ndarray
-    E_word: np.ndarray
-    W_txt: np.ndarray
-
-
-@dataclass
 class ForwardCache:
     """Pre-normalization activations kept for the backward pass."""
     X: np.ndarray               # b x d_img input features
@@ -146,8 +139,9 @@ def _grad_through_normalize(pre: np.ndarray, out: np.ndarray, g_out: np.ndarray)
     return (g_out - out * np.sum(out * g_out, axis=1, keepdims=True)) / norms
 
 
-def backward(params: ModelParams, cache: ForwardCache, grad_S: np.ndarray) -> ParamGrads:
-    """Exact gradients of a loss through S = V @ U.T down to the parameters.
+def backward(params: ModelParams, cache: ForwardCache, grad_S: np.ndarray) -> ModelParams:
+    """Exact gradients of a loss through S = V @ U.T down to the parameters,
+    one per parameter matrix.
 
     Only E_word rows of tokens present in the batch receive gradient.
     """
@@ -168,10 +162,10 @@ def backward(params: ModelParams, cache: ForwardCache, grad_S: np.ndarray) -> Pa
     g_E = np.zeros_like(params.E_word)
     contrib = np.repeat(g_means / cache.lengths[:, np.newaxis], cache.lengths, axis=0)
     np.add.at(g_E, cache.ids, contrib)  # caption-major, so rows sum in per-caption order
-    return ParamGrads(W_img=g_W_img, E_word=g_E, W_txt=g_W_txt)
+    return ModelParams(W_img=g_W_img, E_word=g_E, W_txt=g_W_txt)
 
 
-def sgd_step(params: ModelParams, grads: ParamGrads, learning_rate: float) -> None:
+def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> None:
     """In-place p <- p - lr * g."""
     if learning_rate <= 0:
         raise ValueError("learning_rate must be > 0")

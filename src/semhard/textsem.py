@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 import struct
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,47 +91,26 @@ def preprocess(text: str, cfg: PreprocessConfig = PreprocessConfig()) -> list[st
 def build_tfidf(docs: list[list[str]]) -> tuple[Vocabulary, TermDocMatrix]:
     """Build the sparse TF-IDF matrix: raw count x ln(n/df), no normalization.
 
-    Raises AllDocumentsEmpty when every token sequence is empty.
-    Rows follow corpus order; columns are terms in sorted order.
+    This is the one place the sorted term vocabulary is built. Raises
+    AllDocumentsEmpty when every token sequence is empty; an empty one
+    among others is an all-zero row. Rows follow corpus order; columns are
+    terms in sorted order.
     """
     if len(docs) < 2:
         raise ValueError("need at least 2 documents")
-    if all(len(d) == 0 for d in docs):
+    lengths = np.fromiter(map(len, docs), np.int64, len(docs))
+    if not lengths.any():
         raise AllDocumentsEmpty("every document is empty after preprocessing")
 
-    terms = sorted({t for d in docs for t in d})
-    term_to_index = {t: j for j, t in enumerate(terms)}
-    n, w = len(docs), len(terms)
-
-    df = np.zeros(w, dtype=np.int64)
-    rows, cols, vals = [], [], []
-    empty_rows = []
-    for i, doc in enumerate(docs):
-        if not doc:
-            empty_rows.append(i)
-            continue
-        counts: dict[int, int] = {}
-        for t in doc:
-            counts[term_to_index[t]] = counts.get(term_to_index[t], 0) + 1
-        for j in sorted(counts):
-            df[j] += 1
-            rows.append(i)
-            cols.append(j)
-            vals.append(float(counts[j]))
-    if empty_rows:
-        warnings.warn(
-            f"{len(empty_rows)} description(s) empty after preprocessing; "
-            "kept as all-zero rows",
-            stacklevel=2,
-        )
-
-    idf = np.log(n / df)
-    tf = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(n, w), dtype=np.float64
-    )
-    A = tf.multiply(idf[np.newaxis, :]).tocsr()
-    vocab = Vocabulary(term_to_index, df, n)
-    return vocab, TermDocMatrix(A)
+    term_to_index = {t: j for j, t in enumerate(sorted({t for d in docs for t in d}))}
+    n, w = len(docs), len(term_to_index)
+    cols = np.fromiter((term_to_index[t] for d in docs for t in d), np.int64, lengths.sum())
+    rows = np.repeat(np.arange(n), lengths)
+    tf = sp.csr_matrix((np.ones(cols.size), (rows, cols)), shape=(n, w))
+    tf.sum_duplicates()
+    df = np.bincount(tf.indices, minlength=w)
+    A = tf.multiply(np.log(n / df)[np.newaxis, :]).tocsr()
+    return Vocabulary(term_to_index, df, n), TermDocMatrix(A)
 
 
 def _canonicalize_signs(V: np.ndarray, B: np.ndarray) -> None:

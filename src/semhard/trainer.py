@@ -64,25 +64,6 @@ class TrainingReport:
     hard_neg_logs: list[tuple[list[int], list[int]]] = field(default_factory=list)
 
 
-def corpus_semantics(
-    captions: list[str],
-    pre_cfg: PreprocessConfig,
-    k_ceiling: int,
-    seed: int,
-) -> tuple[ReducedSemantics, list[list[str]]]:
-    """Preprocess captions, build TF-IDF, and reduce with truncated SVD."""
-    token_seqs = [preprocess(c, pre_cfg) for c in captions]
-    return _svd_of_tokens(token_seqs, k_ceiling, seed), token_seqs
-
-
-def _svd_of_tokens(
-    token_seqs: list[list[str]], k_ceiling: int, seed: int
-) -> ReducedSemantics:
-    _, tdm = build_tfidf(token_seqs)
-    k = min(k_ceiling, min(tdm.shape) - 1)
-    return truncated_svd(tdm, k, seed=seed)
-
-
 @dataclass
 class PreparedText:
     """Both splits as ids over the train vocabulary, plus optional train semantics."""
@@ -100,18 +81,18 @@ def prepare_text(
     seed: int = 0,
 ) -> PreparedText:
     """Preprocess each split once and map it to ids over the sorted train
-    vocabulary, dropping out-of-vocabulary tokens. With `svd_k`, the train
-    split also goes through TF-IDF and the truncated SVD.
+    vocabulary of the train split's TF-IDF matrix, dropping out-of-vocabulary
+    tokens. With `svd_k`, that matrix also goes through the truncated SVD.
 
     Raises EmptySequence, before any SVD, for a caption of either split
     that keeps no in-vocabulary token: the encoder cannot embed it.
     """
     train_tokens = [preprocess(c, pre_cfg) for c in train_captions]
-    terms = sorted({t for seq in train_tokens for t in seq})
-    vocab = {t: i for i, t in enumerate(terms)}
+    vocab, tdm = build_tfidf(train_tokens)
+    index = vocab.term_to_index
 
     def to_ids(split, token_seqs):
-        ids = [[vocab[t] for t in seq if t in vocab] for seq in token_seqs]
+        ids = [[index[t] for t in seq if t in index] for seq in token_seqs]
         empty = next((i for i, seq in enumerate(ids) if not seq), None)
         if empty is not None:
             raise EmptySequence(
@@ -121,8 +102,20 @@ def prepare_text(
 
     train_ids = to_ids("train", train_tokens)
     val_ids = to_ids("val", [preprocess(c, pre_cfg) for c in val_captions])
-    sem = None if svd_k is None else _svd_of_tokens(train_tokens, svd_k, seed)
-    return PreparedText(len(vocab), train_ids, val_ids, sem)
+    sem = None if svd_k is None else truncated_svd(tdm, min(svd_k, min(tdm.shape) - 1), seed)
+    return PreparedText(len(index), train_ids, val_ids, sem)
+
+
+def corpus_semantics(
+    captions: list[str],
+    pre_cfg: PreprocessConfig,
+    k_ceiling: int,
+    seed: int,
+) -> tuple[ReducedSemantics, list[list[int]]]:
+    """The semantics of a whole corpus and its captions as ids: `prepare_text`
+    with no val split, so an empty caption fails here as it does in training."""
+    text = prepare_text(captions, [], pre_cfg, k_ceiling, seed)
+    return text.sem, text.train_ids
 
 
 def batch_loss(
@@ -168,6 +161,10 @@ def train(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    first_epoch_batches = len(minibatches(train_ds.n_captions, cfg.batch_size, cfg.seed, 0))
+    if first_epoch_batches == 0:
+        raise EmptyBatch("train set yields no usable mini-batch")
+
     svd_k = cfg.svd_k if cfg.loss.variant == "lseh" else None
     text = prepare_text(train_ds.captions, val_ds.captions, pre_cfg, svd_k, cfg.seed)
 
@@ -187,10 +184,6 @@ def train(
     saved = False
     batches_done = 0
     loss_acc: list[float] = []
-
-    first_epoch_batches = len(minibatches(train_ds.n_captions, cfg.batch_size, cfg.seed, 0))
-    if first_epoch_batches == 0:
-        raise EmptyBatch("train set yields no usable mini-batch")
 
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate / (10.0 if epoch >= cfg.lr_update_epoch else 1.0)
@@ -273,7 +266,7 @@ def from_config(cls, cfg: dict[str, object], **extra):
 
 def _assign(cfg: dict[str, object], pair: str, where: str) -> None:
     """Set one `key=value` pair, typed like the key's default. Every error
-    names `where` (`path:line` or `--set`) and, once parsed, the key."""
+    names `where` (`path:line`, `--set` or `--seed`) and, once parsed, the key."""
     key, sep, raw = (part.strip() for part in pair.partition("="))
     if not sep:
         raise MalformedLine(f"{where}: expected key=value, got {pair!r}")
@@ -282,11 +275,13 @@ def _assign(cfg: dict[str, object], pair: str, where: str) -> None:
     kind = type(CONFIG_DEFAULTS[key])
     try:
         value = _BOOLS[raw.lower()] if kind is bool else kind(raw)
-        ok = kind is not float or np.isfinite(value)
+        # a negative seed fails here, by key and source, not later inside NumPy's seeding
+        ok = np.isfinite(value) if kind is float else key != "seed" or value >= 0
     except (KeyError, ValueError):
         ok = False
     if not ok:
-        raise BadConfigValue(f"{where}: {key} expects {_EXPECTS[kind]}, got {raw!r}")
+        expects = "a non-negative integer" if key == "seed" else _EXPECTS[kind]
+        raise BadConfigValue(f"{where}: {key} expects {expects}, got {raw!r}")
     cfg[key] = value
 
 
@@ -301,11 +296,13 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
     return cfg
 
 
-def apply_overrides(cfg: dict[str, object], pairs: list[str]) -> dict[str, object]:
-    """Apply repeatable `--set key=value` overrides on top of a config."""
+def apply_overrides(
+    cfg: dict[str, object], pairs: list[str], where: str = "--set"
+) -> dict[str, object]:
+    """Apply `key=value` overrides from the command-line option `where` on top of a config."""
     cfg = dict(cfg)
     for pair in pairs:
-        _assign(cfg, pair, "--set")
+        _assign(cfg, pair, where)
     return cfg
 
 

@@ -170,6 +170,17 @@ class TestEvalAndDiag:
         assert str(truncated) in err
 
 
+def write_corpus(tmp_path, captions):
+    """A captions file with every caption on image 0, and its one-row features file,
+    as the `--set` pairs that point the CLI at them."""
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "captions.tsv").write_text("".join(f"d{i}\t0\t{c}\n" for i, c in enumerate(captions)))
+    (data / "features.txt").write_text("1 2\n0.5 1.0\n")
+    return ["--set", f"data.captions={data / 'captions.tsv'}",
+            "--set", f"data.features={data / 'features.txt'}"]
+
+
 class TestSvd:
     def test_export_round_trip(self, tmp_path, capsys):
         from semhard.textsem import read_exported_semantics
@@ -182,6 +193,29 @@ class TestSvd:
         assert np.all(np.isfinite(B))
         assert sv.shape[0] == B.shape[1]
         assert "wrote" in stdout
+
+    def test_empty_caption_fails_like_train(self, tmp_path, capsys):
+        data = write_corpus(tmp_path, ["a red kite", "the of and", "two red dogs"])
+        code, _, err = run(["svd", "--out", str(tmp_path / "svd"), *TINY, *data], capsys)
+        assert code == 1
+        assert err == "error: train caption 1 has no in-vocabulary token after preprocessing\n"
+        assert not (tmp_path / "svd").exists()
+
+    def test_benchmark_tracer_hooks_still_match(self, tmp_path, capsys, monkeypatch):
+        # the benchmark's tracer wraps named functions and reads their results;
+        # a rename or a new return shape must fail here, not only in a traced run
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        import spans
+
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            code, _, err = run(["svd", "--out", str(tmp_path / "svd"), *TINY], capsys)
+        finally:
+            tracer.uninstall()
+        assert code == 0, err
+        assert tracer.counts["textsem.tfidf.nnz"] > 0
+        assert tracer.counts["textsem.svd.k"] > 0
 
 
 class TestCompare:
@@ -274,6 +308,30 @@ class TestErrorPaths:
         code, _, err = run([command, "--out", str(tmp_path / "o"), *TINY, "--set", pair], capsys)
         assert code == 1
         assert err.startswith(f"error: {pair.split('=')[0]} must be >= ")
+
+    @pytest.mark.parametrize("variant", ["lmh", "lseh"])
+    def test_one_caption_train_split_has_no_batch(self, tmp_path, capsys, variant):
+        data = write_corpus(tmp_path, ["a red kite", "two red dogs"])
+        code, _, err = run(
+            ["train", "--out", str(tmp_path / "o"), *TINY, *data,
+             "--set", "val_fraction=0.5", "--set", f"loss.variant={variant}"],
+            capsys,
+        )
+        assert code == 1
+        assert err == "error: train set yields no usable mini-batch\n"
+
+    @pytest.mark.parametrize("command", ["train", "gen", "svd"])
+    @pytest.mark.parametrize("source", ["file", "--set", "--seed"])
+    def test_negative_seed_names_key_and_source(self, tmp_path, capsys, command, source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a comment\nseed = -1\n")
+        seed_args = {"file": ["--config", str(cfg)], "--set": ["--set", "seed=-1"],
+                     "--seed": ["--seed", "-1"]}[source]
+        where = f"{cfg}:2" if source == "file" else source
+        code, _, err = run([command, "--out", str(tmp_path / "o"), *TINY, *seed_args], capsys)
+        assert code == 1
+        assert err == f"error: {where}: seed expects a non-negative integer, got '-1'\n"
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_set_pair(self, tmp_path, capsys):
         code, _, err = run(

@@ -194,7 +194,7 @@ class TestSgdStep:
     def test_zero_gradient_keeps_params(self):
         params = make_params()
         before = params.copy()
-        grads = enc.ParamGrads(
+        grads = enc.ModelParams(
             np.zeros_like(params.W_img),
             np.zeros_like(params.E_word),
             np.zeros_like(params.W_txt),
@@ -206,7 +206,7 @@ class TestSgdStep:
         params = enc.ModelParams(
             W_img=np.array([[1.0]]), E_word=np.array([[1.0]]), W_txt=np.array([[1.0]])
         )
-        grads = enc.ParamGrads(
+        grads = enc.ModelParams(
             np.array([[2.0]]), np.array([[0.0]]), np.array([[0.0]])
         )
         enc.sgd_step(params, grads, 0.1)
@@ -214,7 +214,7 @@ class TestSgdStep:
 
     def test_non_finite_gradient_rejected(self):
         params = make_params()
-        grads = enc.ParamGrads(
+        grads = enc.ModelParams(
             np.full_like(params.W_img, np.nan),
             np.zeros_like(params.E_word),
             np.zeros_like(params.W_txt),
@@ -224,7 +224,7 @@ class TestSgdStep:
 
     def test_rejects_nonpositive_lr(self):
         params = make_params()
-        grads = enc.ParamGrads(
+        grads = enc.ModelParams(
             np.zeros_like(params.W_img),
             np.zeros_like(params.E_word),
             np.zeros_like(params.W_txt),

