@@ -123,7 +123,7 @@ def cmd_eval(args) -> int:
     train_ds, val_ds = _load_or_generate(cfg)
     params, text = _checkpoint_text(args.checkpoint, cfg, train_ds, val_ds.captions)
     V = enc.encode_images(params, val_ds.features)
-    U = enc.encode_texts(params, text.val_ids)
+    U = enc.encode_texts(params, text.val_layout)
     report = retrieval_report(V @ U.T, val_ds.relevance)
     out = Path(args.out) / "retrieval_report.csv"
     Path(args.out).mkdir(parents=True, exist_ok=True)

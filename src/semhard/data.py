@@ -30,8 +30,11 @@ from .evaluation import RelevanceMap
 class Dataset:
     features: np.ndarray        # n_img x d_img
     captions: list[str]         # caption text, file order
-    caption_image: list[int]    # caption index -> image index
+    caption_image: np.ndarray   # caption index -> image index, as int64
     relevance: RelevanceMap
+
+    def __post_init__(self):
+        self.caption_image = np.asarray(self.caption_image, dtype=np.int64)
 
     @property
     def n_images(self) -> int:
@@ -133,7 +136,7 @@ def save_dataset(ds: Dataset, captions_path: str | Path, features_path: str | Pa
         for row in ds.features:
             fh.write(" ".join(repr(float(x)) for x in row) + "\n")
     with open(captions_path, "w", encoding="utf-8") as fh:
-        for d, (img, text) in enumerate(zip(ds.caption_image, ds.captions)):
+        for d, (img, text) in enumerate(zip(ds.caption_image.tolist(), ds.captions)):
             fh.write(f"d{d}\t{img}\t{text}\n")
 
 
@@ -226,7 +229,7 @@ def _held_out_captions(ds: Dataset, val_fraction: float, rng) -> np.ndarray:
     """Mask of held-out captions: a fraction of each image's captions, but
     never an image's last one."""
     by_image: dict[int, list[int]] = {}
-    for d, img in enumerate(ds.caption_image):
+    for d, img in enumerate(ds.caption_image.tolist()):
         by_image.setdefault(img, []).append(d)
     val_caps = np.zeros(ds.n_captions, dtype=bool)
     for caps in by_image.values():
@@ -242,15 +245,13 @@ def _subset(ds: Dataset, keep: np.ndarray) -> Dataset:
     """The captions under the `keep` mask and only the images they use,
     renumbered in order: an image with no caption on this side would have
     no relevant description, which RelevanceMap rejects."""
-    caps = np.flatnonzero(keep).tolist()
-    used = sorted({ds.caption_image[d] for d in caps})
-    remap = {old: new for new, old in enumerate(used)}
-    caption_image = [remap[ds.caption_image[d]] for d in caps]
+    caps = np.flatnonzero(keep)
+    used, caption_image = np.unique(ds.caption_image[caps], return_inverse=True)
     return Dataset(
         features=ds.features[used],
         captions=[ds.captions[d] for d in caps],
         caption_image=caption_image,
-        relevance=_build_relevance(len(used), caption_image),
+        relevance=_build_relevance(len(used), caption_image.tolist()),
     )
 
 

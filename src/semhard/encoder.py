@@ -87,9 +87,20 @@ def encode_images(params: ModelParams, X: np.ndarray) -> np.ndarray:
     return _normalize_rows(_features(params, X) @ params.W_img)
 
 
-def _mean_embeddings(params: ModelParams, token_seqs: list[list[int]]):
-    """Mean word embedding per sequence, and the flat caption-major ids and lengths.
-    Zero-padded rows summed in token order, then divided, equal a per-row mean bit for bit."""
+@dataclass(frozen=True)
+class TokenLayout:
+    """Token-id sequences laid out for one vectorized mean embedding."""
+    ids: np.ndarray      # flat caption-major token ids
+    lengths: np.ndarray  # token count per sequence
+    grid: np.ndarray     # sequences x longest length, ids with zero padding
+    pad: np.ndarray      # True where `grid` holds padding
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+
+def token_layout(token_seqs: list[list[int]]) -> TokenLayout:
+    """Lay out token-id sequences once; raises EmptySequence for an empty one."""
     lengths = np.array([len(seq) for seq in token_seqs], dtype=np.int64)
     if not lengths.all():
         raise EmptySequence(f"token sequence {int(np.argmin(lengths))} is empty")
@@ -97,32 +108,43 @@ def _mean_embeddings(params: ModelParams, token_seqs: list[list[int]]):
     padded = np.arange(lengths.max(initial=0)) < lengths[:, np.newaxis]
     grid = np.zeros(padded.shape, dtype=np.int64)
     grid[padded] = ids
-    rows = params.E_word[grid]
-    rows[~padded] = 0.0
-    return rows.sum(axis=1) / lengths[:, np.newaxis], ids, lengths
+    return TokenLayout(ids, lengths, grid, ~padded)
 
 
-def encode_texts(params: ModelParams, token_seqs: list[list[int]]) -> np.ndarray:
-    """Row-normalized (mean word embedding) @ W_txt."""
-    return _normalize_rows(_mean_embeddings(params, token_seqs)[0] @ params.W_txt)
+def _layout(tokens: TokenLayout | list[list[int]]) -> TokenLayout:
+    return tokens if isinstance(tokens, TokenLayout) else token_layout(tokens)
+
+
+def _mean_embeddings(params: ModelParams, layout: TokenLayout) -> np.ndarray:
+    """Mean word embedding per sequence. Zero-padded rows summed in token
+    order, then divided, equal a per-row mean bit for bit."""
+    rows = params.E_word[layout.grid]
+    rows[layout.pad] = 0.0
+    return rows.sum(axis=1) / layout.lengths[:, np.newaxis]
+
+
+def encode_texts(params: ModelParams, tokens: TokenLayout | list[list[int]]) -> np.ndarray:
+    """Row-normalized (mean word embedding) @ W_txt, from id lists or their layout."""
+    return _normalize_rows(_mean_embeddings(params, _layout(tokens)) @ params.W_txt)
 
 
 def forward(
-    params: ModelParams, X: np.ndarray, token_seqs: list[list[int]]
+    params: ModelParams, X: np.ndarray, tokens: TokenLayout | list[list[int]]
 ) -> ForwardCache:
     """Encode a batch of (image features, token-id sequence) pairs."""
     X = _features(params, X)
-    if X.shape[0] != len(token_seqs):
+    if X.shape[0] != len(tokens):
         raise ShapeMismatch("batch sizes of images and texts disagree")
     img_pre = X @ params.W_img
-    means, ids, lengths = _mean_embeddings(params, token_seqs)
+    layout = _layout(tokens)
+    means = _mean_embeddings(params, layout)
     txt_pre = means @ params.W_txt
     return ForwardCache(
         X=X,
         img_pre=img_pre,
         V=_normalize_rows(img_pre),
-        ids=ids,
-        lengths=lengths,
+        ids=layout.ids,
+        lengths=layout.lengths,
         means=means,
         txt_pre=txt_pre,
         U=_normalize_rows(txt_pre),

@@ -79,4 +79,4 @@ class UnknownConfigKey(SemhardError):
 
 
 class BadConfigValue(SemhardError):
-    """A config file or override gave a value of the wrong type for its key."""
+    """A config file or override gave a value of the wrong type, or out of range, for its key."""

@@ -24,11 +24,16 @@ T2I = "t2i"
 class RelevanceMap:
     img_to_desc: list[set[int]]  # image index -> relevant description indices
     desc_to_img: list[int]       # description index -> its image
+    # image x its sorted descriptions, short rows padded with their first one;
+    # desc_to_img as an array. Both are built once, for every recall call.
+    desc_grid: np.ndarray = field(init=False, repr=False, compare=False)
+    desc_img: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """Both maps must describe one partition of the descriptions:
         recall reads img_to_desc for i2t and desc_to_img for t2i."""
         n_img, n_desc = len(self.img_to_desc), len(self.desc_to_img)
+        rows = []
         for img, rel in enumerate(self.img_to_desc):
             if not rel:
                 raise ValueError(f"image {img} has no relevant descriptions")
@@ -40,11 +45,15 @@ class RelevanceMap:
                         f"image {img} lists description {d}, "
                         f"which references image {self.desc_to_img[d]}"
                     )
+            rows.append(sorted(rel))
         for d, img in enumerate(self.desc_to_img):
             if not 0 <= img < n_img:
                 raise ValueError(f"description {d} references image {img}")
             if d not in self.img_to_desc[img]:
                 raise ValueError(f"description {d} is listed under no image")
+        width = max(map(len, rows), default=0)
+        self.desc_grid = np.array([r + r[:1] * (width - len(r)) for r in rows], dtype=np.int64)
+        self.desc_img = np.array(self.desc_to_img, dtype=np.int64)
 
 
 @dataclass
@@ -67,6 +76,29 @@ def _ranks(scores: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.count_nonzero((scores > t) | ((scores == t) & before), axis=1)
 
 
+def _direction_ranks(sim: np.ndarray, relevance: RelevanceMap, direction: str) -> np.ndarray:
+    """Each query's rank of its best-placed relevant item. `sim` is images x
+    descriptions; "i2t" queries rows, "t2i" columns. An image's best-placed
+    description has its highest score, then its lowest index: argmax over
+    the sorted `desc_grid` row takes the first maximum."""
+    sim = np.asarray(sim)
+    n_img, n_desc = sim.shape
+    if len(relevance.img_to_desc) != n_img or len(relevance.desc_to_img) != n_desc:
+        raise ShapeMismatch("similarity shape disagrees with relevance map")
+    if direction == I2T:
+        grid = relevance.desc_grid
+        rows = np.arange(n_img)
+        best = grid[rows, np.argmax(sim[rows[:, np.newaxis], grid], axis=1)]
+        return _ranks(sim, best)
+    if direction == T2I:
+        return _ranks(sim.T, relevance.desc_img)
+    raise ValueError(f"direction must be {I2T!r} or {T2I!r}")
+
+
+def _recall(ranks: np.ndarray, k: int) -> float:
+    return 100.0 * np.count_nonzero(ranks < k) / len(ranks)
+
+
 def recall_at_k(
     sim: np.ndarray, relevance: RelevanceMap, k: int, direction: str
 ) -> float:
@@ -78,25 +110,7 @@ def recall_at_k(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    sim = np.asarray(sim)
-    n_img, n_desc = sim.shape
-    if len(relevance.img_to_desc) != n_img or len(relevance.desc_to_img) != n_desc:
-        raise ShapeMismatch("similarity shape disagrees with relevance map")
-
-    if direction == I2T:
-        pairs = [(i, d) for i, rel in enumerate(relevance.img_to_desc) for d in rel]
-        rows, cols = np.array(pairs, dtype=np.int64).T
-        scores = sim[rows, cols]
-        top = np.full(n_img, -np.inf)
-        np.maximum.at(top, rows, scores)
-        best = np.full(n_img, n_desc)
-        tied = scores == top[rows]
-        np.minimum.at(best, rows[tied], cols[tied])
-        return 100.0 * np.count_nonzero(_ranks(sim, best) < k) / n_img
-    if direction == T2I:
-        ranks = _ranks(sim.T, np.asarray(relevance.desc_to_img, dtype=np.int64))
-        return 100.0 * np.count_nonzero(ranks < k) / n_desc
-    raise ValueError(f"direction must be {I2T!r} or {T2I!r}")
+    return _recall(_direction_ranks(sim, relevance, direction), k)
 
 
 def m_recall(values: Sequence[float]) -> float:
@@ -107,8 +121,12 @@ def m_recall(values: Sequence[float]) -> float:
 
 
 def retrieval_report(sim: np.ndarray, relevance: RelevanceMap) -> RetrievalReport:
-    i2t = {k: recall_at_k(sim, relevance, k, I2T) for k in (1, 5, 10)}
-    t2i = {k: recall_at_k(sim, relevance, k, T2I) for k in (1, 5, 10)}
+    """Recall@1/5/10 in both directions, each direction ranked once."""
+    def recalls(direction):
+        ranks = _direction_ranks(sim, relevance, direction)
+        return {k: _recall(ranks, k) for k in (1, 5, 10)}
+
+    i2t, t2i = recalls(I2T), recalls(T2I)
     return RetrievalReport(i2t, t2i, m_recall([*i2t.values(), *t2i.values()]))
 
 

@@ -3,8 +3,9 @@
 Per batch: encode both sides, build the similarity block, attach the
 semantic-factor matrix for the batch's descriptions, compute the loss,
 backpropagate, and apply SGD. Every `validation_step` cumulative batches
-the model is validated on the held-out set and checkpointed iff the
-mean-recall score strictly improves. The CLI's eval and diag share
+the model is validated on the held-out set, and its weights are kept iff
+the mean-recall score strictly improves; the best weights are written to
+the checkpoint once, when training ends. The CLI's eval and diag share
 `prepare_text` (captions to ids and semantics) and `batch_loss` with it.
 """
 
@@ -66,10 +67,11 @@ class TrainingReport:
 
 @dataclass
 class PreparedText:
-    """Both splits as ids over the train vocabulary, plus optional train semantics."""
+    """Both splits as ids over the train vocabulary, the val split laid out
+    once for encoding, plus optional train semantics."""
     vocab_size: int
     train_ids: list[list[int]]
-    val_ids: list[list[int]]
+    val_layout: enc.TokenLayout
     sem: ReducedSemantics | None
 
 
@@ -101,9 +103,9 @@ def prepare_text(
         return ids
 
     train_ids = to_ids("train", train_tokens)
-    val_ids = to_ids("val", [preprocess(c, pre_cfg) for c in val_captions])
+    val_layout = enc.token_layout(to_ids("val", [preprocess(c, pre_cfg) for c in val_captions]))
     sem = None if svd_k is None else truncated_svd(tdm, min(svd_k, min(tdm.shape) - 1), seed)
-    return PreparedText(len(index), train_ids, val_ids, sem)
+    return PreparedText(len(index), train_ids, val_layout, sem)
 
 
 def corpus_semantics(
@@ -128,7 +130,7 @@ def batch_loss(
 ) -> tuple[enc.ForwardCache, LossOutput]:
     """Forward a mini-batch of caption indices with their images, then score
     the similarity block; only lseh reads the semantic factors from `sem`."""
-    X = ds.features[[ds.caption_image[d] for d in batch]]
+    X = ds.features[ds.caption_image[batch]]
     cache = enc.forward(params, X, [ids[d] for d in batch])
     lseh = loss_cfg.variant == "lseh"
     F = semantic_factor_matrix(sem.B[batch], loss_cfg.lam) if lseh else None
@@ -139,11 +141,11 @@ def batch_loss(
 def validate(
     params: enc.ModelParams,
     val_ds: Dataset,
-    val_token_ids: list[list[int]],
+    val_layout: enc.TokenLayout,
 ) -> float:
     """Encode the full validation set and return its mean-recall score."""
     V = enc.encode_images(params, val_ds.features)
-    U = enc.encode_texts(params, val_token_ids)
+    U = enc.encode_texts(params, val_layout)
     return retrieval_report(V @ U.T, val_ds.relevance).m_recall
 
 
@@ -180,8 +182,7 @@ def train(
     hard_neg_logs: list[tuple[list[int], list[int]]] = []
     best = -np.inf
     best_epoch = 0.0
-    checkpoint_path = out_dir / checkpoint_name
-    saved = False
+    best_params = None
     batches_done = 0
     loss_acc: list[float] = []
 
@@ -201,7 +202,7 @@ def train(
 
             batches_done += 1
             if batches_done % cfg.validation_step == 0:
-                score = validate(params, val_ds, text.val_ids)
+                score = validate(params, val_ds, text.val_layout)
                 epoch_fraction = batches_done / first_epoch_batches
                 loss_mean = float(np.mean(loss_acc)) if loss_acc else 0.0
                 loss_acc = []
@@ -209,9 +210,11 @@ def train(
                 if score > best:
                     best = score
                     best_epoch = epoch_fraction
-                    enc.save_checkpoint(params, checkpoint_path)
-                    saved = True
+                    best_params = params.copy()
 
+    checkpoint_path = out_dir / checkpoint_name
+    if best_params is not None:
+        enc.save_checkpoint(best_params, checkpoint_path)
     write_csv(
         out_dir / curve_name, csv_header, ["epoch_fraction", "m_recall", "loss_mean"],
         ([f"{frac:.6f}", f"{score:.6f}", f"{loss:.6f}"] for frac, score, loss in records),
@@ -220,7 +223,7 @@ def train(
         records=records,
         best_m_recall=float(best) if records else float("nan"),
         best_epoch=best_epoch,
-        checkpoint_path=str(checkpoint_path) if saved else None,
+        checkpoint_path=None if best_params is None else str(checkpoint_path),
         hard_neg_logs=hard_neg_logs,
     )
 
@@ -265,8 +268,9 @@ def from_config(cls, cfg: dict[str, object], **extra):
 
 
 def _assign(cfg: dict[str, object], pair: str, where: str) -> None:
-    """Set one `key=value` pair, typed like the key's default. Every error
-    names `where` (`path:line`, `--set` or `--seed`) and, once parsed, the key."""
+    """Set one `key=value` pair, typed like the key's default and in the
+    range its owning class accepts. Every error names `where` (`path:line`,
+    `--set` or `--seed`) and, once parsed, the key."""
     key, sep, raw = (part.strip() for part in pair.partition("="))
     if not sep:
         raise MalformedLine(f"{where}: expected key=value, got {pair!r}")
@@ -282,6 +286,13 @@ def _assign(cfg: dict[str, object], pair: str, where: str) -> None:
     if not ok:
         expects = "a non-negative integer" if key == "seed" else _EXPECTS[kind]
         raise BadConfigValue(f"{where}: {key} expects {expects}, got {raw!r}")
+    if key in _FIELDS:
+        # the owning class range-checks the value alone, before the run starts
+        owner, name = _FIELDS[key]
+        try:
+            owner(**{name: value})
+        except ValueError as exc:
+            raise BadConfigValue(f"{where}: {key}: {exc}") from None
     cfg[key] = value
 
 

@@ -219,6 +219,24 @@ class TestSvd:
 
 
 class TestCompare:
+    def test_benchmark_tracer_hooks_on_the_training_path(self, tmp_path, capsys, monkeypatch):
+        # the traced benchmark counts these calls; a call that no longer goes
+        # through the module attribute the tracer wraps would read 0 there
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        import spans
+
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            code, _, err = run(["compare", "--out", str(tmp_path / "c"), *TINY], capsys)
+        finally:
+            tracer.uninstall()
+        assert code == 0, err
+        for name in ("encoder.forward", "trainer.validate", "encoder.save_checkpoint"):
+            assert tracer.counts[f"{name}.calls"] > 0, name
+        assert tracer.counts["encoder.save_checkpoint.calls"] == 2  # one per variant
+        assert any(span[0] == "evaluation.retrieval_report" for span in tracer.spans)
+
     def test_runs_both_variants_deterministically(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -307,7 +325,26 @@ class TestErrorPaths:
     def test_bad_training_value_names_its_key(self, tmp_path, capsys, command, pair):
         code, _, err = run([command, "--out", str(tmp_path / "o"), *TINY, "--set", pair], capsys)
         assert code == 1
-        assert err.startswith(f"error: {pair.split('=')[0]} must be >= ")
+        key = pair.split("=")[0]
+        assert err.startswith(f"error: --set: {key}: {key} must be >= ")
+
+    @pytest.mark.parametrize("pair,message", [
+        ("gen.clusters=0", "counts must be >= 1"),
+        ("gen.overlap=2", "overlap must lie in [0, 1]"),
+        ("loss.alpha=0", "alpha must be > 0"),
+        ("loss.lambda=-1", "lambda must be >= 0"),
+        ("min_token_length=0", "min_token_length must be >= 1"),
+    ])
+    @pytest.mark.parametrize("source", ["file", "--set"])
+    def test_range_error_names_source_and_key(self, tmp_path, capsys, pair, message, source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# a comment\n{pair}\n")
+        args = ["--config", str(cfg)] if source == "file" else ["--set", pair]
+        where = f"{cfg}:2" if source == "file" else source
+        code, _, err = run(["train", "--out", str(tmp_path / "o"), *TINY, *args], capsys)
+        assert code == 1
+        assert err == f"error: {where}: {pair.split('=')[0]}: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("variant", ["lmh", "lseh"])
     def test_one_caption_train_split_has_no_batch(self, tmp_path, capsys, variant):

@@ -130,7 +130,7 @@ class TestLoadDataset:
         save_dataset(ds, cap, feat)
         loaded = load_dataset(cap, feat)
         assert loaded.captions == ds.captions
-        assert loaded.caption_image == ds.caption_image
+        assert np.array_equal(loaded.caption_image, ds.caption_image)
         assert np.allclose(loaded.features, ds.features)
         assert loaded.relevance.img_to_desc == ds.relevance.img_to_desc
 

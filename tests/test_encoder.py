@@ -112,10 +112,21 @@ class TestTokenLayout:
         for trial in range(10):
             params = make_params(vocab=6, d_word=5, seed=trial)
             seqs = repeated_token_seqs(rng, int(rng.integers(1, 40)), 6)
-            means, ids, lengths = enc._mean_embeddings(params, seqs)
+            layout = enc.token_layout(seqs)
+            means = enc._mean_embeddings(params, layout)
             assert np.array_equal(means, loop_mean_embeddings(params, seqs))
-            assert ids.tolist() == [t for seq in seqs for t in seq]
-            assert lengths.tolist() == [len(seq) for seq in seqs]
+            assert layout.ids.tolist() == [t for seq in seqs for t in seq]
+            assert layout.lengths.tolist() == [len(seq) for seq in seqs]
+
+    def test_encode_from_layout_bit_identical_to_lists(self):
+        rng = np.random.default_rng(22)
+        for trial in range(10):
+            params = make_params(vocab=6, seed=trial)
+            seqs = repeated_token_seqs(rng, int(rng.integers(1, 40)), 6)
+            layout = enc.token_layout(seqs)
+            assert np.array_equal(enc.encode_texts(params, layout), enc.encode_texts(params, seqs))
+            X = rng.standard_normal((len(seqs), 5))
+            assert np.array_equal(enc.forward(params, X, layout).U, enc.forward(params, X, seqs).U)
 
     def test_word_grad_bit_identical_to_loop(self):
         rng = np.random.default_rng(21)

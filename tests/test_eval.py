@@ -135,6 +135,23 @@ class TestRecallAtK:
             recall_at_k(np.zeros((3, 3)), one_to_one_relevance(4), 1, "i2t")
 
 
+class TestRetrievalReport:
+    def test_equals_the_six_recalls_on_tie_heavy_inputs(self):
+        # each direction is ranked once and thresholded at 1, 5 and 10
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            n_img = int(rng.integers(1, 16))
+            rel = shuffled_uneven_relevance(rng, n_img)
+            sim = rng.integers(0, 3, size=(n_img, len(rel.desc_to_img))).astype(float)
+            report = retrieval_report(sim, rel)
+            i2t = [recall_at_k(sim, rel, k, "i2t") for k in (1, 5, 10)]
+            t2i = [recall_at_k(sim, rel, k, "t2i") for k in (1, 5, 10)]
+            assert list(report.i2t) == list(report.t2i) == [1, 5, 10]
+            assert list(report.i2t.values()) == i2t
+            assert list(report.t2i.values()) == t2i
+            assert report.m_recall == m_recall(i2t + t2i)
+
+
 class TestMRecall:
     def test_all_hundred(self):
         assert m_recall([100.0] * 6) == 100.0

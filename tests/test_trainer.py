@@ -22,6 +22,7 @@ from semhard.trainer import (
     prepare_text,
     train,
     train_config_from_dict,
+    validate,
     with_loss_variant,
 )
 
@@ -71,13 +72,43 @@ class TestTrain:
         assert np.allclose(diffs, diffs[0])
         assert all(b > a for a, b in zip(fractions, fractions[1:]))
 
-    def test_checkpoint_tracks_best(self, small_sets, tmp_path):
+    @pytest.fixture
+    def saves(self, monkeypatch):
+        calls, real = [], enc.save_checkpoint
+
+        def spy(params, path):
+            calls.append(path)
+            return real(params, path)
+
+        monkeypatch.setattr(enc, "save_checkpoint", spy)
+        return calls
+
+    def test_checkpoint_tracks_best(self, small_sets, tmp_path, saves):
         tr, va = small_sets
         report = train(tr, va, small_cfg(), tmp_path / "best")
-        assert report.best_m_recall == max(s for _, s, _ in report.records)
+        scores = [s for _, s, _ in report.records]
+        assert report.best_m_recall == max(scores)
+        # the best is not the last validation, so the final weights are not the best
+        assert scores.index(max(scores)) < len(scores) - 1
         assert report.checkpoint_path is not None
+        assert saves == [tmp_path / "best" / "best.ckpt"]
         params = enc.load_checkpoint(report.checkpoint_path)
-        assert np.all(np.isfinite(params.W_img))
+        text = prepare_text(tr.captions, va.captions, PreprocessConfig())
+        assert validate(params, va, text.val_layout) == report.best_m_recall
+
+    def test_one_checkpoint_write_per_run(self, small_sets, tmp_path, saves):
+        tr, va = small_sets
+        for n, step in enumerate((1, 3, 5), 1):
+            train(tr, va, small_cfg(validation_step=step), tmp_path / f"s{step}")
+            assert len(saves) == n
+
+    def test_no_validation_writes_no_checkpoint(self, small_sets, tmp_path, saves):
+        tr, va = small_sets
+        out = tmp_path / "never"
+        report = train(tr, va, small_cfg(validation_step=10_000), out)
+        assert report.records == [] and report.checkpoint_path is None
+        assert saves == []
+        assert sorted(p.name for p in out.iterdir()) == ["training_curve.csv"]
 
     def test_deterministic_trajectory(self, small_sets, tmp_path):
         tr, va = small_sets
