@@ -93,20 +93,19 @@ def _checkpoint_text(checkpoint, cfg, train_ds, val_captions, svd_k=None):
     return params, text
 
 
-def _run_one_training(cfg, out_dir, variant=None, tag=""):
+def _run_one_training(cfg, out_dir, variant=None):
+    """Train on the configured split; a `variant` also tags the output files."""
     train_ds, val_ds = _load_or_generate(cfg)
     tcfg = train_config_from_dict(cfg)
     if variant is not None:
         tcfg = trainer.with_loss_variant(tcfg, variant)
-    suffix = f"_{tag}" if tag else ""
     return trainer.train(
         train_ds,
         val_ds,
         tcfg,
         out_dir,
         pre_cfg=_preprocess_config(cfg),
-        curve_name=f"training_curve{suffix}.csv",
-        checkpoint_name=f"best{suffix}.ckpt",
+        tag=variant or "",
         csv_header=_resolved_header(cfg),
     )
 
@@ -123,7 +122,7 @@ def cmd_eval(args) -> int:
     train_ds, val_ds = _load_or_generate(cfg)
     params, text = _checkpoint_text(args.checkpoint, cfg, train_ds, val_ds.captions)
     V = enc.encode_images(params, val_ds.features)
-    U = enc.encode_texts(params, text.val_layout)
+    U = enc.encode_texts(params, text.val)
     report = retrieval_report(V @ U.T, val_ds.relevance)
     out = Path(args.out) / "retrieval_report.csv"
     Path(args.out).mkdir(parents=True, exist_ok=True)
@@ -160,8 +159,8 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    lmh_report = _run_one_training(cfg, out_dir, variant="lmh", tag="lmh")
-    lseh_report = _run_one_training(cfg, out_dir, variant="lseh", tag="lseh")
+    lmh_report = _run_one_training(cfg, out_dir, variant="lmh")
+    lseh_report = _run_one_training(cfg, out_dir, variant="lseh")
     if not lmh_report.records:
         raise BeforeFirstValidation("the reference run never validated")
 
@@ -199,7 +198,7 @@ def cmd_diag(args) -> int:
     params, text = _checkpoint_text(args.checkpoint, cfg, train_ds, [], svd_k)
     logs = []
     for batch in minibatches(train_ds.n_captions, tcfg.batch_size, tcfg.seed, 0):
-        _, out = trainer.batch_loss(params, train_ds, text.train_ids, batch, tcfg.loss, text.sem)
+        _, out = trainer.batch_loss(params, train_ds, text.train, batch, tcfg.loss, text.sem)
         logs.append((out.hard_neg_img.tolist(), out.hard_neg_desc.tolist()))
 
     stats = hard_negative_uniques(logs)
@@ -242,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (SemhardError, OSError, ValueError) as exc:
+    except (SemhardError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,6 +11,7 @@ image_id is the integer row index into the feature matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +32,18 @@ class Dataset:
     features: np.ndarray        # n_img x d_img
     captions: list[str]         # caption text, file order
     caption_image: np.ndarray   # caption index -> image index, as int64
-    relevance: RelevanceMap
 
     def __post_init__(self):
         self.caption_image = np.asarray(self.caption_image, dtype=np.int64)
+
+    @cached_property
+    def relevance(self) -> RelevanceMap:
+        """Image <-> caption relevance, built from `caption_image` on first use."""
+        desc_to_img = self.caption_image.tolist()
+        img_to_desc = [set() for _ in range(self.n_images)]
+        for d, img in enumerate(desc_to_img):
+            img_to_desc[img].add(d)
+        return RelevanceMap(img_to_desc=img_to_desc, desc_to_img=desc_to_img)
 
     @property
     def n_images(self) -> int:
@@ -45,11 +54,13 @@ class Dataset:
         return len(self.captions)
 
 
-def _build_relevance(n_images: int, caption_image: list[int]) -> RelevanceMap:
-    img_to_desc = [set() for _ in range(n_images)]
-    for d, img in enumerate(caption_image):
-        img_to_desc[img].add(d)
-    return RelevanceMap(img_to_desc=img_to_desc, desc_to_img=list(caption_image))
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 file; a byte that is not UTF-8 fails as MalformedLine at `path:line`."""
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:  # read_text decodes the whole file in one call
+        line = Path(path).read_bytes().count(b"\n", 0, exc.start) + 1
+        raise MalformedLine(f"{path}:{line}: not UTF-8 ({exc.reason})") from None
 
 
 def load_dataset(captions_path: str | Path, features_path: str | Path) -> Dataset:
@@ -61,8 +72,7 @@ def load_dataset(captions_path: str | Path, features_path: str | Path) -> Datase
     captions: list[str] = []
     caption_image: list[int] = []
     seen_ids: set[str] = set()
-    lines = Path(captions_path).read_text(encoding="utf-8").splitlines()
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(read_lines(captions_path), 1):
         if not line.strip():
             continue
         where = f"{captions_path}:{lineno}"
@@ -89,17 +99,12 @@ def load_dataset(captions_path: str | Path, features_path: str | Path) -> Datase
             f"{features_path}:{img + 2}: image {img} has no caption in {captions_path}"
         )
 
-    return Dataset(
-        features=features,
-        captions=captions,
-        caption_image=caption_image,
-        relevance=_build_relevance(n_img, caption_image),
-    )
+    return Dataset(features=features, captions=captions, caption_image=caption_image)
 
 
 def _load_features(path: str | Path) -> np.ndarray:
     """The header `n_img d_img`, then n_img rows of d_img finite floats."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_lines(path)
     if not lines:
         raise TruncatedFile(f"{path}:1: the file is empty; expected the header `n_img d_img`")
     header = lines[0].split()
@@ -111,7 +116,9 @@ def _load_features(path: str | Path) -> np.ndarray:
             f"{path}:{len(lines) + 1}: feature row {len(lines) - 1} is missing;"
             f" the header declares {n_img} rows"
         )
-    features = np.zeros((n_img, d_img))
+    # as wide as the first row, so a d_img that row breaks fails on it, not in the allocation
+    width = len(lines[1].split()) if n_img else d_img
+    features = np.zeros((n_img, width))
     for i in range(n_img):
         fields = lines[1 + i].split()
         if len(fields) != d_img:
@@ -207,12 +214,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
                 captions.append(" ".join(words))
                 caption_image.append(img)
 
-    return Dataset(
-        features=features,
-        captions=captions,
-        caption_image=caption_image,
-        relevance=_build_relevance(n_img, caption_image),
-    )
+    return Dataset(features=features, captions=captions, caption_image=caption_image)
 
 
 def split_dataset(ds: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -251,7 +253,6 @@ def _subset(ds: Dataset, keep: np.ndarray) -> Dataset:
         features=ds.features[used],
         captions=[ds.captions[d] for d in caps],
         caption_image=caption_image,
-        relevance=_build_relevance(len(used), caption_image.tolist()),
     )
 
 

@@ -44,8 +44,7 @@ class ForwardCache:
     X: np.ndarray               # b x d_img input features
     img_pre: np.ndarray         # b x d_emb, X @ W_img
     V: np.ndarray               # normalized image embeddings
-    ids: np.ndarray             # flat caption-major token ids
-    lengths: np.ndarray         # b token counts
+    tokens: TokenLayout         # the batch's token ids
     means: np.ndarray           # b x d_word mean word embeddings
     txt_pre: np.ndarray         # b x d_emb, means @ W_txt
     U: np.ndarray               # normalized text embeddings
@@ -89,8 +88,8 @@ def encode_images(params: ModelParams, X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TokenLayout:
-    """Token-id sequences laid out for one vectorized mean embedding."""
-    ids: np.ndarray      # flat caption-major token ids
+    """Token-id sequences laid out for one vectorized mean embedding.
+    Indexing it with an integer array of rows gives the layout of those rows."""
     lengths: np.ndarray  # token count per sequence
     grid: np.ndarray     # sequences x longest length, ids with zero padding
     pad: np.ndarray      # True where `grid` holds padding
@@ -98,17 +97,26 @@ class TokenLayout:
     def __len__(self) -> int:
         return len(self.lengths)
 
+    def __getitem__(self, rows: np.ndarray) -> TokenLayout:
+        # cut to the rows' longest sequence, so a batch is laid out as its lists would be
+        lengths = self.lengths[rows]
+        width = lengths.max(initial=0)
+        return TokenLayout(lengths, self.grid[rows, :width], self.pad[rows, :width])
+
+    @property
+    def ids(self) -> np.ndarray:  # flat caption-major token ids
+        return self.grid[~self.pad]
+
 
 def token_layout(token_seqs: list[list[int]]) -> TokenLayout:
     """Lay out token-id sequences once; raises EmptySequence for an empty one."""
     lengths = np.array([len(seq) for seq in token_seqs], dtype=np.int64)
     if not lengths.all():
         raise EmptySequence(f"token sequence {int(np.argmin(lengths))} is empty")
-    ids = np.fromiter(chain.from_iterable(token_seqs), np.int64, lengths.sum())
     padded = np.arange(lengths.max(initial=0)) < lengths[:, np.newaxis]
     grid = np.zeros(padded.shape, dtype=np.int64)
-    grid[padded] = ids
-    return TokenLayout(ids, lengths, grid, ~padded)
+    grid[padded] = np.fromiter(chain.from_iterable(token_seqs), np.int64, lengths.sum())
+    return TokenLayout(lengths, grid, ~padded)
 
 
 def _layout(tokens: TokenLayout | list[list[int]]) -> TokenLayout:
@@ -143,8 +151,7 @@ def forward(
         X=X,
         img_pre=img_pre,
         V=_normalize_rows(img_pre),
-        ids=layout.ids,
-        lengths=layout.lengths,
+        tokens=layout,
         means=means,
         txt_pre=txt_pre,
         U=_normalize_rows(txt_pre),
@@ -182,8 +189,9 @@ def backward(params: ModelParams, cache: ForwardCache, grad_S: np.ndarray) -> Mo
     g_means = g_txt_pre @ params.W_txt.T
 
     g_E = np.zeros_like(params.E_word)
-    contrib = np.repeat(g_means / cache.lengths[:, np.newaxis], cache.lengths, axis=0)
-    np.add.at(g_E, cache.ids, contrib)  # caption-major, so rows sum in per-caption order
+    lengths = cache.tokens.lengths
+    contrib = np.repeat(g_means / lengths[:, np.newaxis], lengths, axis=0)
+    np.add.at(g_E, cache.tokens.ids, contrib)  # caption-major: rows sum in per-caption order
     return ModelParams(W_img=g_W_img, E_word=g_E, W_txt=g_W_txt)
 
 

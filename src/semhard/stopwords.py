@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .data import read_lines
+
 DEFAULT_STOPWORDS = frozenset("""
 a about above after again against all am an and any are as at be because
 been before being below between both but by could did do does doing down
@@ -24,7 +26,7 @@ will with you your yours yourself yourselves
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stopword override file: one lowercase term per line."""
     terms = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_lines(path):
         term = line.strip()
         if term:
             terms.append(term.lower())

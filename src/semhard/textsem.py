@@ -49,19 +49,8 @@ class PreprocessConfig:
 
 
 @dataclass
-class Vocabulary:
-    term_to_index: dict[str, int]
-    document_frequency: np.ndarray  # per-term, aligned with column index
-    n_documents: int
-
-
-@dataclass
 class TermDocMatrix:
     matrix: sp.csr_matrix  # n_docs x n_terms, TF-IDF weights
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
 
 
 @dataclass
@@ -88,8 +77,9 @@ def preprocess(text: str, cfg: PreprocessConfig = PreprocessConfig()) -> list[st
     return out
 
 
-def build_tfidf(docs: list[list[str]]) -> tuple[Vocabulary, TermDocMatrix]:
-    """Build the sparse TF-IDF matrix: raw count x ln(n/df), no normalization.
+def build_tfidf(docs: list[list[str]]) -> tuple[dict[str, int], TermDocMatrix]:
+    """Build the sparse TF-IDF matrix: raw count x ln(n/df), no normalization,
+    and its term -> column map.
 
     This is the one place the sorted term vocabulary is built. Raises
     AllDocumentsEmpty when every token sequence is empty; an empty one
@@ -110,7 +100,7 @@ def build_tfidf(docs: list[list[str]]) -> tuple[Vocabulary, TermDocMatrix]:
     tf.sum_duplicates()
     df = np.bincount(tf.indices, minlength=w)
     A = tf.multiply(np.log(n / df)[np.newaxis, :]).tocsr()
-    return Vocabulary(term_to_index, df, n), TermDocMatrix(A)
+    return term_to_index, TermDocMatrix(A)
 
 
 def _canonicalize_signs(V: np.ndarray, B: np.ndarray) -> None:
@@ -123,7 +113,7 @@ def _canonicalize_signs(V: np.ndarray, B: np.ndarray) -> None:
 
 
 def truncated_svd(
-    A: TermDocMatrix | sp.spmatrix | np.ndarray,
+    M: sp.spmatrix | np.ndarray,
     k: int,
     seed: int = 0,
 ) -> ReducedSemantics:
@@ -137,7 +127,6 @@ def truncated_svd(
     B = M @ V and each V column's largest-magnitude entry is positive.
     Raises ConvergenceFailure when the chosen solver does not converge.
     """
-    M = A.matrix if isinstance(A, TermDocMatrix) else A
     n, w = M.shape
     if not 1 <= k <= min(n, w):
         raise KTooLarge(f"k={k} exceeds min(n, w)={min(n, w)}")

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import encoder as enc
-from .data import Dataset, SyntheticSpec, minibatches
+from .data import Dataset, SyntheticSpec, minibatches, read_lines
 from .errors import BadConfigValue, EmptyBatch, EmptySequence, MalformedLine, UnknownConfigKey
 from .evaluation import retrieval_report, write_csv
 from .losses import (
@@ -67,11 +67,11 @@ class TrainingReport:
 
 @dataclass
 class PreparedText:
-    """Both splits as ids over the train vocabulary, the val split laid out
-    once for encoding, plus optional train semantics."""
+    """Both splits as ids over the train vocabulary, each laid out once for
+    encoding (a batch is a row selection), plus optional train semantics."""
     vocab_size: int
-    train_ids: list[list[int]]
-    val_layout: enc.TokenLayout
+    train: enc.TokenLayout
+    val: enc.TokenLayout
     sem: ReducedSemantics | None
 
 
@@ -90,22 +90,22 @@ def prepare_text(
     that keeps no in-vocabulary token: the encoder cannot embed it.
     """
     train_tokens = [preprocess(c, pre_cfg) for c in train_captions]
-    vocab, tdm = build_tfidf(train_tokens)
-    index = vocab.term_to_index
+    index, tdm = build_tfidf(train_tokens)
 
-    def to_ids(split, token_seqs):
+    def lay_out(split, token_seqs):
         ids = [[index[t] for t in seq if t in index] for seq in token_seqs]
         empty = next((i for i, seq in enumerate(ids) if not seq), None)
         if empty is not None:
             raise EmptySequence(
                 f"{split} caption {empty} has no in-vocabulary token after preprocessing"
             )
-        return ids
+        return enc.token_layout(ids)
 
-    train_ids = to_ids("train", train_tokens)
-    val_layout = enc.token_layout(to_ids("val", [preprocess(c, pre_cfg) for c in val_captions]))
-    sem = None if svd_k is None else truncated_svd(tdm, min(svd_k, min(tdm.shape) - 1), seed)
-    return PreparedText(len(index), train_ids, val_layout, sem)
+    train = lay_out("train", train_tokens)
+    val = lay_out("val", [preprocess(c, pre_cfg) for c in val_captions])
+    A = tdm.matrix
+    sem = None if svd_k is None else truncated_svd(A, min(svd_k, min(A.shape) - 1), seed)
+    return PreparedText(len(index), train, val, sem)
 
 
 def corpus_semantics(
@@ -113,17 +113,17 @@ def corpus_semantics(
     pre_cfg: PreprocessConfig,
     k_ceiling: int,
     seed: int,
-) -> tuple[ReducedSemantics, list[list[int]]]:
+) -> tuple[ReducedSemantics, enc.TokenLayout]:
     """The semantics of a whole corpus and its captions as ids: `prepare_text`
     with no val split, so an empty caption fails here as it does in training."""
     text = prepare_text(captions, [], pre_cfg, k_ceiling, seed)
-    return text.sem, text.train_ids
+    return text.sem, text.train
 
 
 def batch_loss(
     params: enc.ModelParams,
     ds: Dataset,
-    ids: list[list[int]],
+    tokens: enc.TokenLayout,
     batch: np.ndarray,
     loss_cfg: LossConfig,
     sem: ReducedSemantics | None,
@@ -131,7 +131,7 @@ def batch_loss(
     """Forward a mini-batch of caption indices with their images, then score
     the similarity block; only lseh reads the semantic factors from `sem`."""
     X = ds.features[ds.caption_image[batch]]
-    cache = enc.forward(params, X, [ids[d] for d in batch])
+    cache = enc.forward(params, X, tokens[batch])
     lseh = loss_cfg.variant == "lseh"
     F = semantic_factor_matrix(sem.B[batch], loss_cfg.lam) if lseh else None
     block = SimilarityBlock(S=enc.similarity_matrix(cache), F=F)
@@ -141,11 +141,11 @@ def batch_loss(
 def validate(
     params: enc.ModelParams,
     val_ds: Dataset,
-    val_layout: enc.TokenLayout,
+    val_tokens: enc.TokenLayout,
 ) -> float:
     """Encode the full validation set and return its mean-recall score."""
     V = enc.encode_images(params, val_ds.features)
-    U = enc.encode_texts(params, val_layout)
+    U = enc.encode_texts(params, val_tokens)
     return retrieval_report(V @ U.T, val_ds.relevance).m_recall
 
 
@@ -155,11 +155,11 @@ def train(
     cfg: TrainConfig,
     out_dir: str | Path,
     pre_cfg: PreprocessConfig = PreprocessConfig(),
-    curve_name: str = "training_curve.csv",
-    checkpoint_name: str = "best.ckpt",
+    tag: str = "",
     csv_header: str = "",
 ) -> TrainingReport:
-    """Run the full training loop and return the validation trajectory."""
+    """Run the full training loop and return the validation trajectory. It
+    writes `training_curve.csv` and `best.ckpt`, named `*_<tag>` under a tag."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -189,7 +189,7 @@ def train(
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate / (10.0 if epoch >= cfg.lr_update_epoch else 1.0)
         for batch in minibatches(train_ds.n_captions, cfg.batch_size, cfg.seed, epoch):
-            cache, out = batch_loss(params, train_ds, text.train_ids, batch, cfg.loss, text.sem)
+            cache, out = batch_loss(params, train_ds, text.train, batch, cfg.loss, text.sem)
             loss_acc.append(out.value)
             if out.hard_neg_img is not None:
                 hard_neg_logs.append(
@@ -202,7 +202,7 @@ def train(
 
             batches_done += 1
             if batches_done % cfg.validation_step == 0:
-                score = validate(params, val_ds, text.val_layout)
+                score = validate(params, val_ds, text.val)
                 epoch_fraction = batches_done / first_epoch_batches
                 loss_mean = float(np.mean(loss_acc)) if loss_acc else 0.0
                 loss_acc = []
@@ -212,11 +212,13 @@ def train(
                     best_epoch = epoch_fraction
                     best_params = params.copy()
 
-    checkpoint_path = out_dir / checkpoint_name
+    suffix = f"_{tag}" if tag else ""
+    checkpoint_path = out_dir / f"best{suffix}.ckpt"
     if best_params is not None:
         enc.save_checkpoint(best_params, checkpoint_path)
     write_csv(
-        out_dir / curve_name, csv_header, ["epoch_fraction", "m_recall", "loss_mean"],
+        out_dir / f"training_curve{suffix}.csv", csv_header,
+        ["epoch_fraction", "m_recall", "loss_mean"],
         ([f"{frac:.6f}", f"{score:.6f}", f"{loss:.6f}"] for frac, score, loss in records),
     )
     return TrainingReport(
@@ -299,8 +301,7 @@ def _assign(cfg: dict[str, object], pair: str, where: str) -> None:
 def parse_config_file(path: str | Path) -> dict[str, object]:
     """Flat UTF-8 key=value file over the defaults; `#` starts a comment line."""
     cfg = dict(CONFIG_DEFAULTS)
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         line = line.strip()
         if line and not line.startswith("#"):
             _assign(cfg, line, f"{path}:{lineno}")

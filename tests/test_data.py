@@ -157,7 +157,7 @@ class TestGenerateSynthetic:
         _, tdm = build_tfidf(docs)
         # one singular direction per cluster: within-cluster rows collapse
         # onto the same axis while disjoint vocabularies stay orthogonal
-        sem = truncated_svd(tdm, 3, seed=0)
+        sem = truncated_svd(tdm.matrix, 3, seed=0)
         F = semantic_factor_matrix(sem.B, 1.0)
         cluster_of = [ds.caption_image[d] // 2 for d in range(ds.n_captions)]
         within, cross = [], []
@@ -185,7 +185,7 @@ class TestGenerateSynthetic:
         docs = [preprocess(c) for c in ds.captions]
         _, tdm = build_tfidf(docs)
         # rank = number of clusters keeps the factors on cluster structure
-        sem = truncated_svd(tdm, spec.n_clusters, seed=0)
+        sem = truncated_svd(tdm.matrix, spec.n_clusters, seed=0)
         F = semantic_factor_matrix(sem.B, lam)
         cluster_of = [ds.caption_image[d] // 4 for d in range(ds.n_captions)]
         within, cross = [], []
@@ -227,6 +227,17 @@ class TestSplitDataset:
         # 5 captions per image at 20% -> exactly one held out per image
         assert va.n_captions == ds.n_images
         assert all(len(s) == 4 for s in tr.relevance.img_to_desc)
+
+    def test_relevance_is_built_on_first_use(self, tmp_path):
+        ds = generate_synthetic(SyntheticSpec(n_clusters=2, items_per_cluster=3, seed=1))
+        cap, feat = tmp_path / "c.tsv", tmp_path / "f.txt"
+        save_dataset(ds, cap, feat)
+        loaded = load_dataset(cap, feat)
+        tr, va = split_dataset(loaded, 0.3, seed=0)
+        for sub in (ds, loaded, tr, va):
+            assert "relevance" not in sub.__dict__
+        assert va.relevance is va.relevance
+        assert va.relevance.desc_to_img == va.caption_image.tolist()
 
     def test_bad_mode_and_fraction(self):
         ds = generate_synthetic(SyntheticSpec(seed=4, n_clusters=2, items_per_cluster=4))

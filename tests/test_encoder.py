@@ -106,40 +106,71 @@ def repeated_token_seqs(rng, n, vocab):
     return [[3, 3, 3], [0], [5, 1, 5, 1, 5]] + seqs
 
 
+def layouts(rng, seqs):
+    """The sequences laid out whole, and a shuffled row selection of a longer
+    list laid out once, with the lists each stands for."""
+    whole = enc.token_layout(seqs)
+    more = seqs + repeated_token_seqs(rng, 8, 6)
+    rows = rng.permutation(len(more))[: len(seqs)]
+    return [(whole, seqs), (enc.token_layout(more)[rows], [more[r] for r in rows])]
+
+
 class TestTokenLayout:
     def test_mean_embeddings_bit_identical_to_loop(self):
         rng = np.random.default_rng(20)
         for trial in range(10):
             params = make_params(vocab=6, d_word=5, seed=trial)
             seqs = repeated_token_seqs(rng, int(rng.integers(1, 40)), 6)
-            layout = enc.token_layout(seqs)
-            means = enc._mean_embeddings(params, layout)
-            assert np.array_equal(means, loop_mean_embeddings(params, seqs))
-            assert layout.ids.tolist() == [t for seq in seqs for t in seq]
-            assert layout.lengths.tolist() == [len(seq) for seq in seqs]
+            for layout, lists in layouts(rng, seqs):
+                means = enc._mean_embeddings(params, layout)
+                assert np.array_equal(means, loop_mean_embeddings(params, lists))
+                assert layout.ids.tolist() == [t for seq in lists for t in seq]
+                assert layout.lengths.tolist() == [len(seq) for seq in lists]
 
     def test_encode_from_layout_bit_identical_to_lists(self):
         rng = np.random.default_rng(22)
         for trial in range(10):
             params = make_params(vocab=6, seed=trial)
             seqs = repeated_token_seqs(rng, int(rng.integers(1, 40)), 6)
-            layout = enc.token_layout(seqs)
-            assert np.array_equal(enc.encode_texts(params, layout), enc.encode_texts(params, seqs))
             X = rng.standard_normal((len(seqs), 5))
-            assert np.array_equal(enc.forward(params, X, layout).U, enc.forward(params, X, seqs).U)
+            for layout, lists in layouts(rng, seqs):
+                assert np.array_equal(
+                    enc.encode_texts(params, layout), enc.encode_texts(params, lists)
+                )
+                assert np.array_equal(
+                    enc.forward(params, X, layout).U, enc.forward(params, X, lists).U
+                )
 
     def test_word_grad_bit_identical_to_loop(self):
         rng = np.random.default_rng(21)
         for trial in range(10):
             params = make_params(vocab=6, seed=trial)
             seqs = repeated_token_seqs(rng, int(rng.integers(1, 20)), 6)
-            cache = enc.forward(params, rng.standard_normal((len(seqs), 5)), seqs)
+            X = rng.standard_normal((len(seqs), 5))
             grad_S = rng.standard_normal((len(seqs), len(seqs)))
-            g_U = grad_S.T @ cache.V
-            g_txt_pre = enc._grad_through_normalize(cache.txt_pre, cache.U, g_U)
-            g_means = g_txt_pre @ params.W_txt.T
-            grads = enc.backward(params, cache, grad_S)
-            assert np.array_equal(grads.E_word, loop_word_grad(params, seqs, g_means))
+            for layout, lists in layouts(rng, seqs):
+                cache = enc.forward(params, X, layout)
+                g_U = grad_S.T @ cache.V
+                g_txt_pre = enc._grad_through_normalize(cache.txt_pre, cache.U, g_U)
+                g_means = g_txt_pre @ params.W_txt.T
+                grads = enc.backward(params, cache, grad_S)
+                assert np.array_equal(grads.E_word, loop_word_grad(params, lists, g_means))
+                from_lists = enc.backward(params, enc.forward(params, X, lists), grad_S)
+                assert np.array_equal(grads.E_word, from_lists.E_word)
+
+    def test_row_selection_of_a_one_wide_embedding_equals_its_lists(self):
+        # with d_word = 1, NumPy sums a padded row pairwise, so the selection
+        # must be cut to its own longest sequence to keep the lists' bits
+        rng = np.random.default_rng(23)
+        params = make_params(vocab=50, d_word=1, seed=23)
+        seqs = [rng.integers(0, 50, size=rng.integers(1, 30)).tolist() for _ in range(40)]
+        layout = enc.token_layout(seqs)
+        for _ in range(20):
+            rows = rng.permutation(len(seqs))[:6]
+            lists = enc.token_layout([seqs[r] for r in rows])
+            assert np.array_equal(
+                enc._mean_embeddings(params, layout[rows]), enc._mean_embeddings(params, lists)
+            )
 
 
 def full_loss(params, X, seqs, cfg):

@@ -72,6 +72,19 @@ class TestTrain:
         assert np.allclose(diffs, diffs[0])
         assert all(b > a for a, b in zip(fractions, fractions[1:]))
 
+    @pytest.mark.parametrize("batch_size", [2, 4, 9])
+    def test_each_split_is_laid_out_once(self, small_sets, tmp_path, monkeypatch, batch_size):
+        tr, va = small_sets
+        calls, real = [], enc.token_layout
+
+        def spy(seqs):
+            calls.append(len(seqs))
+            return real(seqs)
+
+        monkeypatch.setattr(enc, "token_layout", spy)
+        train(tr, va, small_cfg(batch_size=batch_size), tmp_path / "layouts")
+        assert calls == [tr.n_captions, va.n_captions]
+
     @pytest.fixture
     def saves(self, monkeypatch):
         calls, real = [], enc.save_checkpoint
@@ -94,7 +107,7 @@ class TestTrain:
         assert saves == [tmp_path / "best" / "best.ckpt"]
         params = enc.load_checkpoint(report.checkpoint_path)
         text = prepare_text(tr.captions, va.captions, PreprocessConfig())
-        assert validate(params, va, text.val_layout) == report.best_m_recall
+        assert validate(params, va, text.val) == report.best_m_recall
 
     def test_one_checkpoint_write_per_run(self, small_sets, tmp_path, saves):
         tr, va = small_sets
@@ -125,6 +138,12 @@ class TestTrain:
         assert lines[1] == "epoch_fraction,m_recall,loss_mean"
         assert len(lines) == 2 + len(report.records)
 
+    def test_tag_names_both_files(self, small_sets, tmp_path):
+        tr, va = small_sets
+        train(tr, va, small_cfg(), tmp_path / "tagged", tag="lseh")
+        names = sorted(p.name for p in (tmp_path / "tagged").iterdir())
+        assert names == ["best_lseh.ckpt", "training_curve_lseh.csv"]
+
     def test_lr_decay_changes_trajectory(self, small_sets, tmp_path):
         tr, va = small_sets
         r_decay = train(tr, va, small_cfg(lr_update_epoch=1), tmp_path / "lr1")
@@ -150,7 +169,7 @@ class TestPrepareText:
         text = prepare_text(self.CAPTIONS, ["red dogs"], PreprocessConfig(), svd_k=1)
         assert svd_calls == [1]
         assert text.vocab_size == 7
-        assert [len(ids) for ids in text.train_ids] == [2, 3, 3]
+        assert text.train.lengths.tolist() == [2, 3, 3]
         assert text.sem.B.shape == (3, 1)
 
     @pytest.mark.parametrize("train_extra,val,message", [
