@@ -3,13 +3,17 @@
 File formats:
 - captions: TSV lines `description_id<TAB>image_id<TAB>caption text`, UTF-8;
 - features: header line `n_img d_img`, then one whitespace-separated
-  float row per image, ordered by image_id.
+  float row per image, ordered by image_id;
+- binary matrices (checkpoints, semantics exports): 4-byte magic, u32
+  version, u32 rows and cols per matrix, then each matrix row-major as f64 LE.
 
 image_id is the integer row index into the feature matrix.
 """
 
 from __future__ import annotations
 
+import os
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -17,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    BadCheckpoint,
     DimensionMismatch,
     DuplicateDescriptionId,
     MalformedLine,
@@ -61,6 +66,48 @@ def read_lines(path: str | Path) -> list[str]:
     except UnicodeDecodeError as exc:  # read_text decodes the whole file in one call
         line = Path(path).read_bytes().count(b"\n", 0, exc.start) + 1
         raise MalformedLine(f"{path}:{line}: not UTF-8 ({exc.reason})") from None
+
+
+def write_matrices(path: str | Path, magic: bytes, version: int, mats: list[np.ndarray]) -> None:
+    """Write `mats` in the binary matrix format. The file is written beside
+    `path` and renamed over it, so a failed write keeps the old one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    shapes = [n for m in mats for n in m.shape]
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(magic + struct.pack(f"<I{len(shapes)}I", version, *shapes))
+            for m in mats:
+                fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_matrices(path: str | Path, magic: bytes, version: int, count: int) -> list[np.ndarray]:
+    """The `count` matrices of a binary matrix file. A wrong magic or version,
+    or bytes past the last matrix, fail as BadCheckpoint; a short file as
+    TruncatedFile. Each error names `path`."""
+    raw = Path(path).read_bytes()
+    if raw[:4] != magic:
+        raise BadCheckpoint(f"{path}: starts with {raw[:4]!r}, not the magic {magic!r}")
+    header = 8 + 8 * count
+    if len(raw) < header:
+        raise TruncatedFile(f"{path}: {len(raw)} bytes, shorter than the {header}-byte header")
+    found, *dims = struct.unpack_from(f"<I{2 * count}I", raw, 4)
+    if found != version:
+        raise BadCheckpoint(f"{path}: unsupported version {found}, expected {version}")
+    shapes = list(zip(dims[::2], dims[1::2]))
+    expected = header + 8 * sum(r * c for r, c in shapes)
+    if len(raw) != expected:
+        error = TruncatedFile if len(raw) < expected else BadCheckpoint
+        raise error(f"{path}: {len(raw)} bytes, but shapes {shapes} need {expected}")
+    mats, off = [], header
+    for r, c in shapes:
+        mats.append(np.frombuffer(raw, "<f8", r * c, off).reshape(r, c).copy())
+        off += 8 * r * c
+    return mats
 
 
 def load_dataset(captions_path: str | Path, features_path: str | Path) -> Dataset:
@@ -108,9 +155,12 @@ def _load_features(path: str | Path) -> np.ndarray:
     if not lines:
         raise TruncatedFile(f"{path}:1: the file is empty; expected the header `n_img d_img`")
     header = lines[0].split()
-    if len(header) != 2 or not all(x.isdecimal() for x in header):
-        raise MalformedLine(f"{path}:1: the header must be two non-negative integers `n_img d_img`")
-    n_img, d_img = (int(x) for x in header)
+    try:  # a field count other than 2, or a number past int()'s 4,300-digit limit
+        n_img, d_img = map(int, header) if all(x.isdecimal() for x in header) else ()
+    except ValueError:
+        n_img = d_img = 0
+    if d_img < 1:
+        raise MalformedLine(f"{path}:1: the header `n_img d_img` must be whole numbers, d_img >= 1")
     if len(lines) < 1 + n_img:
         raise TruncatedFile(
             f"{path}:{len(lines) + 1}: feature row {len(lines) - 1} is missing;"
@@ -162,7 +212,7 @@ class SyntheticSpec:
     background_vocab_size: int = 60
 
     def __post_init__(self):
-        if min(self.n_clusters, self.items_per_cluster, self.captions_per_image) < 1:
+        if min(self.n_clusters, self.items_per_cluster, self.captions_per_image, self.d_img) < 1:
             raise ValueError("counts must be >= 1")
         if not 0.0 <= self.overlap <= 1.0:
             raise ValueError("overlap must lie in [0, 1]")

@@ -7,22 +7,14 @@ through the normalization and the linear maps exactly (no autograd).
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadCheckpoint,
-    EmptySequence,
-    NonFiniteGradient,
-    ShapeMismatch,
-    TruncatedFile,
-    ZeroNormEmbedding,
-)
+from .data import read_matrices, write_matrices
+from .errors import EmptySequence, NonFiniteGradient, ShapeMismatch, ZeroNormEmbedding
 
 CHECKPOINT_MAGIC = b"VSEC"
 CHECKPOINT_VERSION = 1
@@ -207,39 +199,10 @@ def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> N
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    """Binary checkpoint: magic, version, shapes, then row-major f64 LE. It is
-    written beside `path` and renamed over it, so a failed write keeps the old one."""
+    """W_img, E_word, W_txt as a binary matrix file; a failed write keeps the old one."""
     mats = [params.W_img, params.E_word, params.W_txt]
-    shapes = [n for m in mats for n in m.shape]
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(struct.pack("<4sI6I", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *shapes))
-            for m in mats:
-                fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_matrices(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, mats)
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    raw = Path(path).read_bytes()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise BadCheckpoint(f"{path}: starts with {raw[:4]!r}, not the checkpoint magic")
-    header = 8 + 3 * 8
-    if len(raw) < header:
-        raise TruncatedFile(f"{path}: {len(raw)} bytes, shorter than the checkpoint header")
-    (version,) = struct.unpack("<I", raw[4:8])
-    if version != CHECKPOINT_VERSION:
-        raise BadCheckpoint(f"{path}: unsupported checkpoint version {version}")
-    shapes = [struct.unpack_from("<II", raw, 8 + 8 * i) for i in range(3)]
-    expected = header + 8 * sum(r * c for r, c in shapes)
-    if len(raw) < expected:
-        raise TruncatedFile(f"{path}: {len(raw)} bytes, but shapes {shapes} need {expected}")
-    mats, off = [], header
-    for r, c in shapes:
-        mats.append(np.frombuffer(raw, "<f8", r * c, off).reshape(r, c).copy())
-        off += 8 * r * c
-    return ModelParams(*mats)
+    return ModelParams(*read_matrices(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, 3))

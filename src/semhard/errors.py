@@ -55,7 +55,8 @@ class TruncatedFile(SemhardError):
 
 
 class BadCheckpoint(SemhardError, ValueError):
-    """A checkpoint file has the wrong magic bytes or an unsupported version."""
+    """A binary matrix file (a checkpoint or a semantics export) has the wrong
+    magic bytes, an unsupported version, or bytes past its last matrix."""
 
 
 class MalformedLine(SemhardError):

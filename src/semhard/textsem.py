@@ -9,14 +9,14 @@ of the reduced rows are the semantic similarities.
 from __future__ import annotations
 
 import re
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import AllDocumentsEmpty, ConvergenceFailure, KTooLarge
+from .data import read_lines, read_matrices, write_matrices
+from .errors import AllDocumentsEmpty, ConvergenceFailure, KTooLarge, MalformedLine, TruncatedFile
 from .stemming import stem
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -188,33 +188,23 @@ def cosine_matrix(rows: np.ndarray) -> np.ndarray:
 
 
 def export_semantics(sem: ReducedSemantics, path: str | Path) -> None:
-    """Write B as binary (magic, version, n, k, row-major f64 LE) plus a
+    """Write B as a binary matrix file (`data.write_matrices`), plus a
     sidecar `<path>.sv` text file of singular values, one per line."""
-    path = Path(path)
-    n, k = sem.B.shape
-    with open(path, "wb") as fh:
-        fh.write(EXPORT_MAGIC)
-        fh.write(struct.pack("<III", EXPORT_VERSION, n, k))
-        fh.write(np.ascontiguousarray(sem.B, dtype="<f8").tobytes())
-    sidecar = path.with_name(path.name + ".sv")
-    sidecar.write_text(
-        "".join(f"{v!r}\n" for v in sem.singular_values.tolist()),
-        encoding="utf-8",
+    write_matrices(path, EXPORT_MAGIC, EXPORT_VERSION, [sem.B])
+    Path(f"{path}.sv").write_text(
+        "".join(f"{v!r}\n" for v in sem.singular_values.tolist()), encoding="utf-8"
     )
 
 
 def read_exported_semantics(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read back an exported B matrix and its sidecar singular values."""
-    path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] != EXPORT_MAGIC:
-        raise ValueError("bad magic in semantics export")
-    version, n, k = struct.unpack("<III", raw[4:16])
-    if version != EXPORT_VERSION:
-        raise ValueError(f"unsupported export version {version}")
-    B = np.frombuffer(raw[16:], dtype="<f8").reshape(n, k).copy()
-    sidecar = path.with_name(path.name + ".sv")
-    sv = np.array(
-        [float(line) for line in sidecar.read_text().split()], dtype=np.float64
-    )
-    return B, sv
+    """Read back an exported B matrix and its sidecar singular values, one per B column."""
+    (B,) = read_matrices(path, EXPORT_MAGIC, EXPORT_VERSION, 1)
+    sidecar, sv = f"{path}.sv", []
+    for lineno, line in enumerate(read_lines(sidecar), 1):
+        try:
+            sv.append(float(line))
+        except ValueError:
+            raise MalformedLine(f"{sidecar}:{lineno}: not a number: {line!r}") from None
+    if len(sv) != B.shape[1]:
+        raise TruncatedFile(f"{sidecar}: {len(sv)} singular values, but B has {B.shape[1]} columns")
+    return B, np.array(sv)

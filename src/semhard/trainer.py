@@ -322,6 +322,5 @@ def train_config_from_dict(cfg: dict[str, object]) -> TrainConfig:
     return from_config(TrainConfig, cfg, loss=from_config(LossConfig, cfg))
 
 
-def with_loss_variant(cfg: TrainConfig, variant: str, lam: float | None = None) -> TrainConfig:
-    loss = replace(cfg.loss, variant=variant, **({} if lam is None else {"lam": lam}))
-    return replace(cfg, loss=loss)
+def with_loss_variant(cfg: TrainConfig, variant: str) -> TrainConfig:
+    return replace(cfg, loss=replace(cfg.loss, variant=variant))

@@ -340,6 +340,8 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("pair,message", [
         ("gen.clusters=0", "counts must be >= 1"),
+        ("gen.d_img=0", "counts must be >= 1"),
+        ("gen.d_img=-1", "counts must be >= 1"),
         ("gen.overlap=2", "overlap must lie in [0, 1]"),
         ("loss.alpha=0", "alpha must be > 0"),
         ("loss.lambda=-1", "lambda must be >= 0"),

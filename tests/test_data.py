@@ -77,7 +77,10 @@ class TestLoadDataset:
         with pytest.raises(TruncatedFile, match=re.escape(f"{feat}:1:")):
             load_dataset(cap, feat)
 
-    @pytest.mark.parametrize("header", ["two 3", "3", "1 2 3", "-1 2", "1.5 2", "1\u00b2 2", ""])
+    @pytest.mark.parametrize("header", [
+        "two 3", "3", "1 2 3", "-1 2", "1.5 2", "1\u00b2 2", "", "1 0",
+        pytest.param("1 " + "9" * 5000, id="1 9x5000"),  # past int()'s digit limit
+    ])
     def test_malformed_header(self, tmp_path, header):
         cap, feat = write_pair(tmp_path, ["d0\t0\tok"], [header, "0.0 1.0"])
         with pytest.raises(MalformedLine, match=re.escape(f"{feat}:1:")):

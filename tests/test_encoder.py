@@ -1,22 +1,50 @@
 import os
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from semhard import data
 from semhard import encoder as enc
 from semhard.errors import (
     BadCheckpoint,
     EmptySequence,
     NonFiniteGradient,
     ShapeMismatch,
+    TruncatedFile,
     ZeroNormEmbedding,
 )
 from semhard.losses import LossConfig, SimilarityBlock, compute_loss
+from semhard.textsem import export_semantics, read_exported_semantics, truncated_svd
 
 
 def make_params(d_img=5, vocab=7, d_word=4, d_emb=6, seed=0):
     return enc.init_params(d_img, vocab, d_word=d_word, d_emb=d_emb, seed=seed)
+
+
+def save_params(seed, path):
+    """Write a seeded checkpoint; returns its first matrix."""
+    params = make_params(seed=seed)
+    enc.save_checkpoint(params, path)
+    return params.W_img
+
+
+def save_semantics(seed, path):
+    """Write a seeded semantics export; returns its matrix B."""
+    sem = truncated_svd(np.random.default_rng(seed).standard_normal((6, 5)), 3, seed=0)
+    export_semantics(sem, path)
+    return sem.B
+
+
+# Both binary matrix files: a seeded writer, a reader of the first matrix,
+# and the files one write leaves.
+BINARY_FILES = pytest.mark.parametrize("save,load,files", [
+    pytest.param(save_params, lambda p: enc.load_checkpoint(p).W_img, ["model.ckpt"],
+                 id="checkpoint"),
+    pytest.param(save_semantics, lambda p: read_exported_semantics(p)[0],
+                 ["sem.bin", "sem.bin.sv"], id="export"),
+])
 
 
 class TestEncodeImages:
@@ -303,20 +331,22 @@ class TestCheckpoint:
         )
         assert path.read_bytes() == expected
 
-    def test_no_temporary_file_left(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        enc.save_checkpoint(make_params(seed=15), path)
-        enc.save_checkpoint(make_params(seed=16), path)
-        assert os.listdir(tmp_path) == ["model.ckpt"]
-        assert np.array_equal(enc.load_checkpoint(path).W_img, make_params(seed=16).W_img)
+    @BINARY_FILES
+    def test_no_temporary_file_left(self, tmp_path, save, load, files):
+        path = tmp_path / files[0]
+        save(15, path)
+        written = save(16, path)
+        assert sorted(os.listdir(tmp_path)) == files
+        assert np.array_equal(load(path), written)
 
-    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
-        path = tmp_path / "model.ckpt"
-        enc.save_checkpoint(make_params(seed=17), path)
+    @BINARY_FILES
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch, save, load, files):
+        path = tmp_path / files[0]
+        save(17, path)
         before = path.read_bytes()
 
         class FailingFile:
-            """Writes the header and the first matrix, then fails like a full disk."""
+            """Writes the header, then fails like a full disk."""
             def __init__(self, fh):
                 self.fh, self.writes = fh, 0
 
@@ -328,27 +358,42 @@ class TestCheckpoint:
 
             def write(self, data):
                 self.writes += 1
-                if self.writes == 3:
+                if self.writes == 2:
                     raise OSError("no space left on device")
                 return self.fh.write(data)
 
-        monkeypatch.setattr(enc, "open", lambda p, mode: FailingFile(open(p, mode)), raising=False)
+        # the writer shared by both files lives in semhard.data
+        monkeypatch.setattr(data, "open", lambda p, mode: FailingFile(open(p, mode)), raising=False)
         with pytest.raises(OSError, match="no space"):
-            enc.save_checkpoint(make_params(seed=18), path)
+            save(18, path)
         assert path.read_bytes() == before
-        assert os.listdir(tmp_path) == ["model.ckpt"]
+        assert sorted(os.listdir(tmp_path)) == files
 
-    def test_bad_magic_and_version_name_the_path(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        enc.save_checkpoint(make_params(), path)
+    @BINARY_FILES
+    def test_bad_magic_and_version_name_the_path(self, tmp_path, save, load, files):
+        path = tmp_path / files[0]
+        save(0, path)
         raw = path.read_bytes()
         path.write_bytes(b"NOPE" + raw[4:])
         with pytest.raises(BadCheckpoint, match="magic") as magic:
-            enc.load_checkpoint(path)
+            load(path)
         path.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:])
         with pytest.raises(BadCheckpoint, match="version 2") as version:
-            enc.load_checkpoint(path)
+            load(path)
         assert str(path) in str(magic.value) and str(path) in str(version.value)
+
+    @BINARY_FILES
+    @pytest.mark.parametrize("cut,error", [
+        pytest.param(lambda raw: raw[:5], TruncatedFile, id="5-bytes"),
+        pytest.param(lambda raw: raw[:-8], TruncatedFile, id="short-payload"),
+        pytest.param(lambda raw: raw + b"\0", BadCheckpoint, id="trailing-byte"),
+    ])
+    def test_wrong_length_names_the_path(self, tmp_path, save, load, files, cut, error):
+        path = tmp_path / files[0]
+        save(19, path)
+        path.write_bytes(cut(path.read_bytes()))
+        with pytest.raises(error, match=re.escape(str(path))):
+            load(path)
 
 
 class TestDeterminism:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from semhard import encoder as enc
 from semhard.data import load_dataset
 from semhard.errors import SemhardError
+from semhard.textsem import EXPORT_MAGIC, read_exported_semantics
 from semhard.trainer import CONFIG_DEFAULTS, apply_overrides, parse_config_file
 
 # derandomized, so Tier-1 tests the same examples on every run and keeps no
@@ -51,7 +52,8 @@ feature_rows = st.lists(
 features_text = st.builds(
     lambda n, d, rows: f"{n} {d}\n" + "\n".join(rows) + "\n",
     st.integers(0, 4),
-    st.sampled_from([0, 1, 2, 3, 10**11]),
+    # the last width has more digits than int() converts
+    st.sampled_from(["0", "1", "2", "3", str(10**11), "9" * 5000]),
     feature_rows,
 )
 features_bytes = st.one_of(st.binary(max_size=120), utf8(features_text))
@@ -70,23 +72,24 @@ def test_load_dataset_returns_or_raises_semhard_error(workdir, captions, feature
     assert ds.relevance.desc_to_img == ds.caption_image.tolist()
 
 
-# checkpoints: arbitrary bytes, or the magic and a header of any version and
-# shapes followed by arbitrary bytes
-checkpoint_bytes = st.one_of(
-    st.binary(max_size=200),
-    st.builds(
-        lambda version, shapes, body: enc.CHECKPOINT_MAGIC
-        + struct.pack("<I6I", version, *shapes) + body,
-        st.integers(0, 2),
-        st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1)),
-                 min_size=6, max_size=6),
+def matrix_file_bytes(magic: bytes, count: int) -> st.SearchStrategy[bytes]:
+    """Arbitrary bytes, or `magic` and a header of any version and `count`
+    shapes followed by arbitrary bytes: a checkpoint or a semantics export."""
+    return st.one_of(
         st.binary(max_size=200),
-    ),
-)
+        st.builds(
+            lambda version, shapes, body: magic
+            + struct.pack(f"<I{2 * count}I", version, *shapes) + body,
+            st.integers(0, 2),
+            st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1)),
+                     min_size=2 * count, max_size=2 * count),
+            st.binary(max_size=200),
+        ),
+    )
 
 
 @FUZZ
-@given(raw=checkpoint_bytes)
+@given(raw=matrix_file_bytes(enc.CHECKPOINT_MAGIC, 3))
 def test_load_checkpoint_returns_or_raises_semhard_error(workdir, raw):
     path = workdir / "best.ckpt"
     path.write_bytes(raw)
@@ -95,6 +98,19 @@ def test_load_checkpoint_returns_or_raises_semhard_error(workdir, raw):
     except SemhardError:
         return
     assert isinstance(params, enc.ModelParams)
+
+
+@FUZZ
+@given(raw=matrix_file_bytes(EXPORT_MAGIC, 1), n_values=st.integers(0, 3))
+def test_read_exported_semantics_returns_or_raises_semhard_error(workdir, raw, n_values):
+    path = workdir / "semantics.bin"
+    path.write_bytes(raw)
+    (workdir / "semantics.bin.sv").write_text("".join(f"{v}.5\n" for v in range(n_values)))
+    try:
+        B, sv = read_exported_semantics(path)
+    except SemhardError:
+        return
+    assert sv.shape == (B.shape[1],)
 
 
 keys = st.sampled_from(sorted(CONFIG_DEFAULTS))

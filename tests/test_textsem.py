@@ -1,10 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from semhard import textsem
 from semhard.data import SyntheticSpec, generate_synthetic
-from semhard.errors import AllDocumentsEmpty, ConvergenceFailure, KTooLarge
+from semhard.errors import (
+    AllDocumentsEmpty,
+    ConvergenceFailure,
+    KTooLarge,
+    MalformedLine,
+    TruncatedFile,
+)
 from semhard.stemming import stem
 from semhard.textsem import (
     PreprocessConfig,
@@ -320,3 +328,20 @@ class TestExport:
         assert raw[:4] == b"LSEH"
         assert len(raw) == 16 + 5 * 2 * 8
         assert (tmp_path / "sem.bin.sv").exists()
+
+    def test_sidecar_non_number_names_its_line(self, tmp_path):
+        path = tmp_path / "sem.bin"
+        export_semantics(truncated_svd(np.eye(5), 2, seed=0), path)
+        sidecar = tmp_path / "sem.bin.sv"
+        sidecar.write_text("1.0\nx\n")
+        with pytest.raises(MalformedLine, match=re.escape(f"{sidecar}:2:")):
+            read_exported_semantics(path)
+
+    @pytest.mark.parametrize("values", ["1.0\n", "1.0\n0.5\n0.25\n"])
+    def test_sidecar_count_must_match_k(self, tmp_path, values):
+        path = tmp_path / "sem.bin"
+        export_semantics(truncated_svd(np.eye(5), 2, seed=0), path)
+        sidecar = tmp_path / "sem.bin.sv"
+        sidecar.write_text(values)
+        with pytest.raises(TruncatedFile, match=re.escape(f"{sidecar}:")):
+            read_exported_semantics(path)
