@@ -93,9 +93,9 @@ def _checkpoint_text(checkpoint, cfg, train_ds, val_captions, svd_k=None):
     return params, text
 
 
-def _run_one_training(cfg, out_dir, variant=None):
-    """Train on the configured split; a `variant` also tags the output files."""
-    train_ds, val_ds = _load_or_generate(cfg)
+def _run_one_training(cfg, out_dir, split, variant=None):
+    """Train on the (train, val) `split`; a `variant` also tags the output files."""
+    train_ds, val_ds = split
     tcfg = train_config_from_dict(cfg)
     if variant is not None:
         tcfg = trainer.with_loss_variant(tcfg, variant)
@@ -112,7 +112,7 @@ def _run_one_training(cfg, out_dir, variant=None):
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    report = _run_one_training(cfg, args.out)
+    report = _run_one_training(cfg, args.out, _load_or_generate(cfg))
     print(f"best_m_recall={report.best_m_recall:.4f} at_epoch={report.best_epoch:.4f}")
     return 0
 
@@ -156,13 +156,17 @@ def cmd_gen(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
+    tcfg = train_config_from_dict(cfg)
+    split = _load_or_generate(cfg)
+    batches = len(minibatches(split[0].n_captions, tcfg.batch_size, tcfg.seed, 0))
+    if tcfg.epochs * batches < tcfg.validation_step:  # every epoch has as many batches
+        raise BeforeFirstValidation(f"the runs would never validate: {tcfg.epochs} epochs x"
+                                    f" {batches} batches < validation_step={tcfg.validation_step}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    lmh_report = _run_one_training(cfg, out_dir, variant="lmh")
-    lseh_report = _run_one_training(cfg, out_dir, variant="lseh")
-    if not lmh_report.records:
-        raise BeforeFirstValidation("the reference run never validated")
+    lmh_report = _run_one_training(cfg, out_dir, split, variant="lmh")
+    lseh_report = _run_one_training(cfg, out_dir, split, variant="lseh")
 
     threshold = lmh_report.best_m_recall
     crossing = epochs_to_threshold(

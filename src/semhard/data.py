@@ -87,8 +87,8 @@ def write_matrices(path: str | Path, magic: bytes, version: int, mats: list[np.n
 
 def read_matrices(path: str | Path, magic: bytes, version: int, count: int) -> list[np.ndarray]:
     """The `count` matrices of a binary matrix file. A wrong magic or version,
-    or bytes past the last matrix, fail as BadCheckpoint; a short file as
-    TruncatedFile. Each error names `path`."""
+    bytes past the last matrix, or a NaN or inf value fail as BadCheckpoint;
+    a short file as TruncatedFile. Each error names `path`."""
     raw = Path(path).read_bytes()
     if raw[:4] != magic:
         raise BadCheckpoint(f"{path}: starts with {raw[:4]!r}, not the magic {magic!r}")
@@ -107,6 +107,8 @@ def read_matrices(path: str | Path, magic: bytes, version: int, count: int) -> l
     for r, c in shapes:
         mats.append(np.frombuffer(raw, "<f8", r * c, off).reshape(r, c).copy())
         off += 8 * r * c
+        if not np.isfinite(mats[-1]).all():
+            raise BadCheckpoint(f"{path}: matrix {len(mats)} of {count} holds NaN or inf")
     return mats
 
 

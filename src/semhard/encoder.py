@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import read_matrices, write_matrices
-from .errors import EmptySequence, NonFiniteGradient, ShapeMismatch, ZeroNormEmbedding
+from .errors import (BadCheckpoint, EmptySequence, NonFiniteGradient, ShapeMismatch,
+                     ZeroNormEmbedding)
 
 CHECKPOINT_MAGIC = b"VSEC"
 CHECKPOINT_VERSION = 1
@@ -205,4 +206,9 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    return ModelParams(*read_matrices(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, 3))
+    """The saved weights; a W_txt that does not join E_word to W_img fails as BadCheckpoint."""
+    W_img, E_word, W_txt = read_matrices(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, 3)
+    need = (E_word.shape[1], W_img.shape[1])  # d_word x d_emb
+    if W_txt.shape != need:
+        raise BadCheckpoint(f"{path}: W_txt is {W_txt.shape}, but E_word and W_img need {need}")
+    return ModelParams(W_img, E_word, W_txt)

@@ -56,7 +56,7 @@ class TruncatedFile(SemhardError):
 
 class BadCheckpoint(SemhardError, ValueError):
     """A binary matrix file (a checkpoint or a semantics export) has the wrong
-    magic bytes, an unsupported version, or bytes past its last matrix."""
+    magic, an unsupported version, extra bytes, NaN or inf, or unfit shapes."""
 
 
 class MalformedLine(SemhardError):
@@ -72,7 +72,7 @@ class EmptyDataset(SemhardError):
 
 
 class BeforeFirstValidation(SemhardError):
-    """A training run finished without ever validating."""
+    """A training run would finish without ever validating."""
 
 
 class UnknownConfigKey(SemhardError):

@@ -138,12 +138,8 @@ def lmh(block: SimilarityBlock, cfg: LossConfig) -> LossOutput:
 
 def lseh(block: SimilarityBlock, cfg: LossConfig) -> LossOutput:
     """Max of hinges on semantically shifted scores S + F."""
-    F = block.F
-    if F is None:
-        F = np.zeros_like(block.S)
-    if F.shape != block.S.shape:
-        raise ShapeMismatch("F shape disagrees with S")
-    return _max_of_hinges(block.S, block.S + F, cfg.alpha)
+    aug = block.S if block.F is None else block.S + block.F
+    return _max_of_hinges(block.S, aug, cfg.alpha)
 
 
 _DISPATCH = {"lsh": lsh, "lmh": lmh, "lseh": lseh}

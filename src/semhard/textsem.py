@@ -15,17 +15,17 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .data import read_lines, read_matrices, write_matrices
-from .errors import AllDocumentsEmpty, ConvergenceFailure, KTooLarge, MalformedLine, TruncatedFile
+from .data import read_matrices, write_matrices
+from .errors import AllDocumentsEmpty, BadCheckpoint, ConvergenceFailure, KTooLarge
 from .stemming import stem
 from .stopwords import DEFAULT_STOPWORDS
 
 _TOKEN_RE = re.compile(r"[a-z]+")
 
 EXPORT_MAGIC = b"LSEH"
-EXPORT_VERSION = 1
+EXPORT_VERSION = 2
 
-# truncated_svd: extra sketch columns, power iterations before the first
+# truncated_svd: the least sketch oversampling, power iterations before the first
 # convergence test, the iteration cap, and the relative singular-value tolerance
 SVD_OVERSAMPLE = 8
 SVD_MIN_ITERS = 4
@@ -121,10 +121,10 @@ def truncated_svd(
 
     When min(n, w) > ARPACK_MIN_DIM and k < min(n, w), ARPACK
     (`scipy.sparse.linalg.svds`, tol=0) solves it from a seeded start
-    vector. Otherwise randomized subspace iteration runs past
-    SVD_MIN_ITERS until the singular-value estimates change by less than
-    SVD_TOL, so it matches a dense SVD even on flat spectra. Either way
-    B = M @ V and each V column's largest-magnitude entry is positive.
+    vector. Otherwise randomized subspace iteration on k + max(k, SVD_OVERSAMPLE)
+    columns runs past SVD_MIN_ITERS until the singular-value estimates change
+    by less than SVD_TOL, so it matches a dense SVD even on flat spectra. Either
+    way B = M @ V and each V column's largest-magnitude entry is positive.
     Raises ConvergenceFailure when the chosen solver does not converge.
     """
     n, w = M.shape
@@ -145,7 +145,7 @@ def truncated_svd(
             ) from exc
         return _reduced_semantics(M, s, Vt)
 
-    l = min(k + SVD_OVERSAMPLE, min(n, w))
+    l = min(k + max(k, SVD_OVERSAMPLE), min(n, w))
     Q = np.linalg.qr(M @ rng.standard_normal((w, l)))[0]
 
     prev = None
@@ -188,23 +188,13 @@ def cosine_matrix(rows: np.ndarray) -> np.ndarray:
 
 
 def export_semantics(sem: ReducedSemantics, path: str | Path) -> None:
-    """Write B as a binary matrix file (`data.write_matrices`), plus a
-    sidecar `<path>.sv` text file of singular values, one per line."""
-    write_matrices(path, EXPORT_MAGIC, EXPORT_VERSION, [sem.B])
-    Path(f"{path}.sv").write_text(
-        "".join(f"{v!r}\n" for v in sem.singular_values.tolist()), encoding="utf-8"
-    )
+    """Write B and its singular values, a 1 x k row, to one binary matrix file."""
+    write_matrices(path, EXPORT_MAGIC, EXPORT_VERSION, [sem.B, sem.singular_values[np.newaxis, :]])
 
 
 def read_exported_semantics(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read back an exported B matrix and its sidecar singular values, one per B column."""
-    (B,) = read_matrices(path, EXPORT_MAGIC, EXPORT_VERSION, 1)
-    sidecar, sv = f"{path}.sv", []
-    for lineno, line in enumerate(read_lines(sidecar), 1):
-        try:
-            sv.append(float(line))
-        except ValueError:
-            raise MalformedLine(f"{sidecar}:{lineno}: not a number: {line!r}") from None
-    if len(sv) != B.shape[1]:
-        raise TruncatedFile(f"{sidecar}: {len(sv)} singular values, but B has {B.shape[1]} columns")
-    return B, np.array(sv)
+    """Read back an exported B matrix and its singular values, one per B column."""
+    B, sv = read_matrices(path, EXPORT_MAGIC, EXPORT_VERSION, 2)
+    if sv.shape != (1, B.shape[1]):
+        raise BadCheckpoint(f"{path}: singular values are {sv.shape}, expected {(1, B.shape[1])}")
+    return B, sv[0]

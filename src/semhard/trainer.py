@@ -288,13 +288,14 @@ def _assign(cfg: dict[str, object], pair: str, where: str) -> None:
     if not ok:
         expects = "a non-negative integer" if key == "seed" else _EXPECTS[kind]
         raise BadConfigValue(f"{where}: {key} expects {expects}, got {raw!r}")
-    if key in _FIELDS:
-        # the owning class range-checks the value alone, before the run starts
-        owner, name = _FIELDS[key]
-        try:
+    try:  # range-check the value alone, before the run starts, by its owning class if any
+        if key in _FIELDS:
+            owner, name = _FIELDS[key]
             owner(**{name: value})
-        except ValueError as exc:
-            raise BadConfigValue(f"{where}: {key}: {exc}") from None
+        elif key == "val_fraction" and not 0.0 < value < 1.0:
+            raise ValueError("val_fraction must lie in (0, 1)")
+    except ValueError as exc:
+        raise BadConfigValue(f"{where}: {key}: {exc}") from None
     cfg[key] = value
 
 

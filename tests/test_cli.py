@@ -10,6 +10,7 @@ import semhard.cli
 import semhard.trainer
 from semhard import encoder as enc
 from semhard.cli import main
+from semhard.data import SyntheticSpec, generate_synthetic
 
 TINY = [
     "--set", "gen.clusters=2",
@@ -69,6 +70,20 @@ class TestTrain:
         header = (out / "training_curve.csv").read_text().splitlines()[0]
         assert "loss.variant=lsh" in header  # --set beats the file
         assert "seed=4" in header            # --seed beats both
+
+    def test_stopword_file_replaces_the_vocabulary_filter(self, tmp_path, capsys):
+        # the file replaces the built-in list; the synthetic captions hold none of
+        # its words, so listing one caption word removes exactly that word
+        word = generate_synthetic(SyntheticSpec(2, 4, 3)).captions[0].split()[0]
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_text(f"{word.upper()}\n\n")
+        rows = []
+        for out, extra in ((tmp_path / "a", []), (tmp_path / "b", [f"data.stopwords={stopwords}"])):
+            code, _, err = run(["train", "--out", str(out), *TINY,
+                                *(arg for pair in extra for arg in ("--set", pair))], capsys)
+            assert code == 0, err
+            rows.append(enc.load_checkpoint(out / "best.ckpt").E_word.shape[0])
+        assert rows[1] == rows[0] - 1
 
 
 class TestEvalAndDiag:
@@ -170,6 +185,26 @@ class TestEvalAndDiag:
         assert err.startswith("error:")
         assert str(truncated) in err
 
+    @pytest.mark.parametrize("command", ["eval", "diag"])
+    @pytest.mark.parametrize("fault", ["nan-W_img", "W_txt-5-cols"])
+    def test_broken_checkpoint_names_its_path(self, tmp_path, capsys, command, fault):
+        # a NaN W_img used to rank every query first (m_recall=100), and a cut
+        # W_txt to fail inside matmul without naming the file
+        run_dir = tmp_path / "run"
+        run(["train", "--out", str(run_dir), *TINY], capsys)
+        params = enc.load_checkpoint(run_dir / "best.ckpt")
+        if fault == "nan-W_img":
+            params.W_img[:] = np.nan
+        else:
+            params.W_txt = params.W_txt[:, :5]
+        broken = tmp_path / "broken.ckpt"
+        enc.save_checkpoint(params, broken)
+        code, stdout, err = run(
+            [command, "--checkpoint", str(broken), "--out", str(tmp_path / "o"), *TINY], capsys
+        )
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: {broken}: ")
+
 
 def write_corpus(tmp_path, captions):
     """A captions file with every caption on image 0, and its one-row features file,
@@ -250,6 +285,20 @@ class TestCompare:
         assert lines[3].startswith("lseh,")
         assert (a / "training_curve_lmh.csv").exists()
         assert (a / "training_curve_lseh.csv").exists()
+
+    def test_run_that_never_validates_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("compare trained a model")
+
+        monkeypatch.setattr(semhard.trainer, "train", no_training)
+        out = tmp_path / "c"
+        code, _, err = run(
+            ["compare", "--out", str(out), *TINY, "--set", "validation_step=100000"], capsys
+        )
+        assert code == 1
+        assert err.startswith("error: the runs would never validate: 1 epochs x ")
+        assert err.endswith(" batches < validation_step=100000\n")
+        assert not list(tmp_path.rglob("training_curve_*.csv"))
 
 
 # each file's second line holds a Latin-1 byte that is not UTF-8
@@ -346,6 +395,8 @@ class TestErrorPaths:
         ("loss.alpha=0", "alpha must be > 0"),
         ("loss.lambda=-1", "lambda must be >= 0"),
         ("min_token_length=0", "min_token_length must be >= 1"),
+        ("val_fraction=0", "val_fraction must lie in (0, 1)"),
+        ("val_fraction=1.5", "val_fraction must lie in (0, 1)"),
     ])
     @pytest.mark.parametrize("source", ["file", "--set"])
     def test_range_error_names_source_and_key(self, tmp_path, capsys, pair, message, source):

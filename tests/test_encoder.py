@@ -43,7 +43,7 @@ BINARY_FILES = pytest.mark.parametrize("save,load,files", [
     pytest.param(save_params, lambda p: enc.load_checkpoint(p).W_img, ["model.ckpt"],
                  id="checkpoint"),
     pytest.param(save_semantics, lambda p: read_exported_semantics(p)[0],
-                 ["sem.bin", "sem.bin.sv"], id="export"),
+                 ["sem.bin"], id="export"),
 ])
 
 
@@ -377,8 +377,8 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + raw[4:])
         with pytest.raises(BadCheckpoint, match="magic") as magic:
             load(path)
-        path.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:])
-        with pytest.raises(BadCheckpoint, match="version 2") as version:
+        path.write_bytes(raw[:4] + struct.pack("<I", 99) + raw[8:])
+        with pytest.raises(BadCheckpoint, match="version 99") as version:
             load(path)
         assert str(path) in str(magic.value) and str(path) in str(version.value)
 
@@ -394,6 +394,30 @@ class TestCheckpoint:
         path.write_bytes(cut(path.read_bytes()))
         with pytest.raises(error, match=re.escape(str(path))):
             load(path)
+
+    @BINARY_FILES
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_non_finite_value_names_the_path(self, tmp_path, save, load, files, value, where):
+        path = tmp_path / files[0]
+        first = save(20, path).astype("<f8").tobytes()
+        raw = bytearray(path.read_bytes())
+        off = raw.index(first) if where == "first" else len(raw) - 8
+        raw[off:off + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(BadCheckpoint, match=re.escape(f"{path}: matrix")):
+            load(path)
+
+    @pytest.mark.parametrize("cut", [
+        pytest.param(lambda p: enc.ModelParams(p.W_img, p.E_word, p.W_txt[:, :5]), id="W_txt-cols"),
+        pytest.param(lambda p: enc.ModelParams(p.W_img[:, :5], p.E_word, p.W_txt), id="W_img-cols"),
+        pytest.param(lambda p: enc.ModelParams(p.W_img, p.E_word[:, :3], p.W_txt), id="E_word-cols"),
+    ])
+    def test_matrices_that_do_not_chain_name_the_path(self, tmp_path, cut):
+        path = tmp_path / "model.ckpt"
+        enc.save_checkpoint(cut(make_params()), path)
+        with pytest.raises(BadCheckpoint, match=re.escape(f"{path}: W_txt is")):
+            enc.load_checkpoint(path)
 
 
 class TestDeterminism:

@@ -5,14 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from semhard import textsem
-from semhard.data import SyntheticSpec, generate_synthetic
-from semhard.errors import (
-    AllDocumentsEmpty,
-    ConvergenceFailure,
-    KTooLarge,
-    MalformedLine,
-    TruncatedFile,
-)
+from semhard.data import SyntheticSpec, generate_synthetic, split_dataset, write_matrices
+from semhard.errors import AllDocumentsEmpty, BadCheckpoint, ConvergenceFailure, KTooLarge
 from semhard.stemming import stem
 from semhard.textsem import (
     PreprocessConfig,
@@ -197,6 +191,19 @@ class TestTruncatedSvd:
         sem = truncated_svd(rng.standard_normal((20, 25)), 8, seed=0)
         assert np.all(np.diff(sem.singular_values) <= 1e-12)
 
+    def test_default_split_takes_few_iterations(self, monkeypatch):
+        # the default train split's 800x500 TF-IDF matrix at k=400: a sketch of
+        # k + 8 columns took about 100 QR steps to settle, one of 2k columns takes 6
+        train, _ = split_dataset(generate_synthetic(SyntheticSpec()), 0.15, 0)
+        _, tdm = build_tfidf([preprocess(c) for c in train.captions])
+        A = tdm.matrix
+        calls, real = [], np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        sem = truncated_svd(A, 400, seed=0)
+        assert A.shape == (800, 500) and len(calls) <= 6
+        s_true = np.linalg.svd(A.toarray(), compute_uv=False)[:400]
+        assert np.max(np.abs(sem.singular_values - s_true) / s_true) < 1e-12
+
 
 class TestArpackPath:
     """Inputs with min(n, w) > ARPACK_MIN_DIM and k < min(n, w) go to svds."""
@@ -326,22 +333,20 @@ class TestExport:
         export_semantics(sem, path)
         raw = path.read_bytes()
         assert raw[:4] == b"LSEH"
-        assert len(raw) == 16 + 5 * 2 * 8
-        assert (tmp_path / "sem.bin.sv").exists()
+        assert len(raw) == 24 + (5 * 2 + 2) * 8
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sem.bin"]
 
-    def test_sidecar_non_number_names_its_line(self, tmp_path):
+    def test_version_1_file_names_the_path(self, tmp_path):
+        # version 1 held B alone, with its singular values in a text sidecar
         path = tmp_path / "sem.bin"
-        export_semantics(truncated_svd(np.eye(5), 2, seed=0), path)
-        sidecar = tmp_path / "sem.bin.sv"
-        sidecar.write_text("1.0\nx\n")
-        with pytest.raises(MalformedLine, match=re.escape(f"{sidecar}:2:")):
+        write_matrices(path, textsem.EXPORT_MAGIC, 1, [np.eye(5)[:, :2]])
+        with pytest.raises(BadCheckpoint, match=re.escape(f"{path}: unsupported version 1")):
             read_exported_semantics(path)
 
-    @pytest.mark.parametrize("values", ["1.0\n", "1.0\n0.5\n0.25\n"])
-    def test_sidecar_count_must_match_k(self, tmp_path, values):
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_singular_values_must_be_one_row_of_k(self, tmp_path, k):
         path = tmp_path / "sem.bin"
-        export_semantics(truncated_svd(np.eye(5), 2, seed=0), path)
-        sidecar = tmp_path / "sem.bin.sv"
-        sidecar.write_text(values)
-        with pytest.raises(TruncatedFile, match=re.escape(f"{sidecar}:")):
+        B = truncated_svd(np.eye(5), 2, seed=0).B
+        write_matrices(path, textsem.EXPORT_MAGIC, textsem.EXPORT_VERSION, [B, np.ones((1, k))])
+        with pytest.raises(BadCheckpoint, match=re.escape(f"{path}: singular values")):
             read_exported_semantics(path)
