@@ -22,7 +22,7 @@ from .data import (
     save_dataset,
     split_dataset,
 )
-from .errors import BeforeFirstValidation, EmptyDataset, SemhardError, ShapeMismatch
+from .errors import SemhardError, ShapeMismatch
 from .evaluation import (
     efficiency_difference,
     epochs_to_threshold,
@@ -71,16 +71,16 @@ def _load(cfg: dict[str, object]) -> Dataset:
 def _load_or_generate(cfg: dict[str, object]) -> tuple[Dataset, Dataset]:
     """Load or generate the dataset, then split it into train/val by
     caption: every image keeps at least one caption in train."""
-    ds = _load(cfg)
-    if ds.n_captions == 0:
-        raise EmptyDataset("dataset holds no captions")
-    return split_dataset(ds, cfg["val_fraction"], cfg["seed"])
+    return split_dataset(_load(cfg), cfg["val_fraction"], cfg["seed"])
 
 
 def _checkpoint_text(checkpoint, cfg, train_ds, val_captions, svd_k=None):
     """The checkpoint's weights and the captions as ids over the vocabulary
     rebuilt from `cfg`, which must be as large as the one it was trained on."""
     params = enc.load_checkpoint(checkpoint)
+    if params.W_img.shape[0] != train_ds.features.shape[1]:
+        raise ShapeMismatch(f"{checkpoint}: the checkpoint takes {params.W_img.shape[0]}-wide"
+                            f" image features, but this config's are {train_ds.features.shape[1]}")
     text = trainer.prepare_text(
         train_ds.captions, val_captions, _preprocess_config(cfg), svd_k, cfg["seed"]
     )
@@ -156,15 +156,8 @@ def cmd_gen(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
-    tcfg = train_config_from_dict(cfg)
     split = _load_or_generate(cfg)
-    batches = len(minibatches(split[0].n_captions, tcfg.batch_size, tcfg.seed, 0))
-    if tcfg.epochs * batches < tcfg.validation_step:  # every epoch has as many batches
-        raise BeforeFirstValidation(f"the runs would never validate: {tcfg.epochs} epochs x"
-                                    f" {batches} batches < validation_step={tcfg.validation_step}")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     lmh_report = _run_one_training(cfg, out_dir, split, variant="lmh")
     lseh_report = _run_one_training(cfg, out_dir, split, variant="lseh")
 

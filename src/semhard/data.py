@@ -24,6 +24,7 @@ from .errors import (
     BadCheckpoint,
     DimensionMismatch,
     DuplicateDescriptionId,
+    EmptyDataset,
     MalformedLine,
     MissingImageId,
     TruncatedFile,
@@ -147,6 +148,8 @@ def load_dataset(captions_path: str | Path, features_path: str | Path) -> Datase
         raise UncaptionedImage(
             f"{features_path}:{img + 2}: image {img} has no caption in {captions_path}"
         )
+    if not captions:
+        raise EmptyDataset(f"{captions_path}: holds no captions")
 
     return Dataset(features=features, captions=captions, caption_image=caption_image)
 

@@ -34,10 +34,6 @@ class NonFiniteGradient(SemhardError):
     """A gradient contained NaN or infinity."""
 
 
-class EmptyBatch(SemhardError):
-    """A mini-batch was empty or too small for the loss to be defined."""
-
-
 class MissingImageId(SemhardError):
     """A caption references an image id that does not exist."""
 

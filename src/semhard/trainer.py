@@ -18,7 +18,8 @@ import numpy as np
 
 from . import encoder as enc
 from .data import Dataset, SyntheticSpec, minibatches, read_lines
-from .errors import BadConfigValue, EmptyBatch, EmptySequence, MalformedLine, UnknownConfigKey
+from .errors import (BadConfigValue, BeforeFirstValidation, EmptySequence, MalformedLine,
+                     UnknownConfigKey)
 from .evaluation import retrieval_report, write_csv
 from .losses import (
     LossConfig,
@@ -51,7 +52,8 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, low in (("epochs", 1), ("batch_size", 2), ("validation_step", 1),
-                          ("learning_rate", 0), ("svd_k", 1), ("d_emb", 1), ("d_word", 1)):
+                          ("learning_rate", 0), ("svd_k", 1), ("d_emb", 1), ("d_word", 1),
+                          ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
@@ -61,7 +63,7 @@ class TrainingReport:
     records: list[tuple[float, float, float]]  # (epoch_fraction, m_recall, loss_mean)
     best_m_recall: float
     best_epoch: float
-    checkpoint_path: str | None
+    checkpoint_path: str
     hard_neg_logs: list[tuple[list[int], list[int]]] = field(default_factory=list)
 
 
@@ -159,13 +161,15 @@ def train(
     csv_header: str = "",
 ) -> TrainingReport:
     """Run the full training loop and return the validation trajectory. It
-    writes `training_curve.csv` and `best.ckpt`, named `*_<tag>` under a tag."""
+    writes `training_curve.csv` and `best.ckpt`, named `*_<tag>` under a tag.
+    A schedule that would never validate fails before any work or write."""
+    first_epoch_batches = len(minibatches(train_ds.n_captions, cfg.batch_size, cfg.seed, 0))
+    if cfg.epochs * first_epoch_batches < cfg.validation_step:  # every epoch has as many batches
+        raise BeforeFirstValidation(
+            f"the run would never validate: {cfg.epochs} epochs x {first_epoch_batches}"
+            f" batches < validation_step={cfg.validation_step}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    first_epoch_batches = len(minibatches(train_ds.n_captions, cfg.batch_size, cfg.seed, 0))
-    if first_epoch_batches == 0:
-        raise EmptyBatch("train set yields no usable mini-batch")
 
     svd_k = cfg.svd_k if cfg.loss.variant == "lseh" else None
     text = prepare_text(train_ds.captions, val_ds.captions, pre_cfg, svd_k, cfg.seed)
@@ -182,7 +186,6 @@ def train(
     hard_neg_logs: list[tuple[list[int], list[int]]] = []
     best = -np.inf
     best_epoch = 0.0
-    best_params = None
     batches_done = 0
     loss_acc: list[float] = []
 
@@ -214,8 +217,7 @@ def train(
 
     suffix = f"_{tag}" if tag else ""
     checkpoint_path = out_dir / f"best{suffix}.ckpt"
-    if best_params is not None:
-        enc.save_checkpoint(best_params, checkpoint_path)
+    enc.save_checkpoint(best_params, checkpoint_path)
     write_csv(
         out_dir / f"training_curve{suffix}.csv", csv_header,
         ["epoch_fraction", "m_recall", "loss_mean"],
@@ -223,9 +225,9 @@ def train(
     )
     return TrainingReport(
         records=records,
-        best_m_recall=float(best) if records else float("nan"),
+        best_m_recall=float(best),
         best_epoch=best_epoch,
-        checkpoint_path=None if best_params is None else str(checkpoint_path),
+        checkpoint_path=str(checkpoint_path),
         hard_neg_logs=hard_neg_logs,
     )
 
@@ -281,13 +283,11 @@ def _assign(cfg: dict[str, object], pair: str, where: str) -> None:
     kind = type(CONFIG_DEFAULTS[key])
     try:
         value = _BOOLS[raw.lower()] if kind is bool else kind(raw)
-        # a negative seed fails here, by key and source, not later inside NumPy's seeding
-        ok = np.isfinite(value) if kind is float else key != "seed" or value >= 0
+        ok = kind is not float or np.isfinite(value)
     except (KeyError, ValueError):
         ok = False
     if not ok:
-        expects = "a non-negative integer" if key == "seed" else _EXPECTS[kind]
-        raise BadConfigValue(f"{where}: {key} expects {expects}, got {raw!r}")
+        raise BadConfigValue(f"{where}: {key} expects {_EXPECTS[kind]}, got {raw!r}")
     try:  # range-check the value alone, before the run starts, by its owning class if any
         if key in _FIELDS:
             owner, name = _FIELDS[key]

@@ -163,6 +163,22 @@ class TestEvalAndDiag:
         assert err.startswith(f"error: {checkpoint}: the checkpoint embeds {trained_words} words")
         assert err.rstrip().endswith("pass the training run's config and seed")
 
+    @pytest.mark.parametrize("command", ["eval", "diag"])
+    def test_feature_width_mismatch_names_the_checkpoint(self, tmp_path, capsys, command):
+        # the vocabulary sizes still match, so only the width check names the checkpoint
+        run_dir = tmp_path / "run"
+        run(["train", "--out", str(run_dir), *TINY], capsys)
+        checkpoint = run_dir / "best.ckpt"
+        code, stdout, err = run(
+            [command, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "o"),
+             *TINY, "--set", "gen.d_img=16"],
+            capsys,
+        )
+        assert (code, stdout) == (1, "")
+        assert err == (f"error: {checkpoint}: the checkpoint takes 32-wide image features,"
+                       " but this config's are 16\n")
+        assert not (tmp_path / "o").exists()
+
     def test_missing_checkpoint_is_error_exit(self, tmp_path, capsys):
         code, _, err = run(
             ["eval", "--checkpoint", str(tmp_path / "nope.ckpt"),
@@ -286,19 +302,25 @@ class TestCompare:
         assert (a / "training_curve_lmh.csv").exists()
         assert (a / "training_curve_lseh.csv").exists()
 
-    def test_run_that_never_validates_fails_before_training(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", [
+        ["compare"], ["train", "--set", "loss.variant=lmh"], ["train", "--set", "loss.variant=lseh"],
+    ], ids=["compare", "train-lmh", "train-lseh"])
+    def test_run_that_never_validates_fails_before_training(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
         def no_training(*args, **kwargs):
-            raise AssertionError("compare trained a model")
+            raise AssertionError("the run prepared its text")
 
-        monkeypatch.setattr(semhard.trainer, "train", no_training)
+        monkeypatch.setattr(semhard.trainer, "prepare_text", no_training)
         out = tmp_path / "c"
-        code, _, err = run(
-            ["compare", "--out", str(out), *TINY, "--set", "validation_step=100000"], capsys
+        code, stdout, err = run(
+            [*command, "--out", str(out), *TINY, "--set", "validation_step=100000"], capsys
         )
-        assert code == 1
-        assert err.startswith("error: the runs would never validate: 1 epochs x ")
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: the run would never validate: 1 epochs x ")
         assert err.endswith(" batches < validation_step=100000\n")
-        assert not list(tmp_path.rglob("training_curve_*.csv"))
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 # each file's second line holds a Latin-1 byte that is not UTF-8
@@ -418,7 +440,8 @@ class TestErrorPaths:
             capsys,
         )
         assert code == 1
-        assert err == "error: train set yields no usable mini-batch\n"
+        assert err == "error: the run would never validate: 1 epochs x 0 batches < validation_step=2\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["train", "gen", "svd"])
     @pytest.mark.parametrize("source", ["file", "--set", "--seed"])
@@ -430,7 +453,23 @@ class TestErrorPaths:
         where = f"{cfg}:2" if source == "file" else source
         code, _, err = run([command, "--out", str(tmp_path / "o"), *TINY, *seed_args], capsys)
         assert code == 1
-        assert err == f"error: {where}: seed expects a non-negative integer, got '-1'\n"
+        assert err == f"error: {where}: seed: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "svd"])
+    def test_empty_captions_file_names_it(self, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "captions.tsv").write_text("")
+        (data / "features.txt").write_text("0 2\n")
+        code, stdout, err = run(
+            [command, "--out", str(tmp_path / "o"), *TINY,
+             "--set", f"data.captions={data / 'captions.tsv'}",
+             "--set", f"data.features={data / 'features.txt'}"],
+            capsys,
+        )
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {data / 'captions.tsv'}: holds no captions\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("reader", sorted(NOT_UTF8))

@@ -45,7 +45,7 @@ PORTER_REFERENCE = {
     "bowdlerize": "bowdler", "probate": "probat", "rate": "rate",
     "cease": "ceas", "controll": "control", "roll": "roll",
     "running": "run", "runner": "runner", "generalization": "gener",
-    "oscillators": "oscil",
+    "oscillators": "oscil", "opinion": "opinion", "is": "is",
 }
 
 

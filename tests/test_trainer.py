@@ -8,7 +8,8 @@ import pytest
 import semhard.trainer
 from semhard import encoder as enc
 from semhard.data import SyntheticSpec, generate_synthetic, split_dataset
-from semhard.errors import BadConfigValue, EmptySequence, MalformedLine, UnknownConfigKey
+from semhard.errors import (BadConfigValue, BeforeFirstValidation, EmptySequence, MalformedLine,
+                            UnknownConfigKey)
 from semhard.evaluation import retrieval_report
 from semhard.losses import LossConfig
 from semhard.textsem import PreprocessConfig
@@ -118,10 +119,10 @@ class TestTrain:
     def test_no_validation_writes_no_checkpoint(self, small_sets, tmp_path, saves):
         tr, va = small_sets
         out = tmp_path / "never"
-        report = train(tr, va, small_cfg(validation_step=10_000), out)
-        assert report.records == [] and report.checkpoint_path is None
+        with pytest.raises(BeforeFirstValidation, match="the run would never validate"):
+            train(tr, va, small_cfg(validation_step=10_000), out)
         assert saves == []
-        assert sorted(p.name for p in out.iterdir()) == ["training_curve.csv"]
+        assert not out.exists()
 
     def test_deterministic_trajectory(self, small_sets, tmp_path):
         tr, va = small_sets
