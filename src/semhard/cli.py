@@ -62,9 +62,14 @@ def _preprocess_config(cfg: dict[str, object]) -> PreprocessConfig:
 
 
 def _load(cfg: dict[str, object]) -> Dataset:
-    """The configured dataset files, or else the synthetic spec's corpus."""
-    if cfg["data.captions"] and cfg["data.features"]:
-        return load_dataset(cfg["data.captions"], cfg["data.features"])
+    """The configured dataset files, or else, when neither is set, the
+    synthetic spec's corpus."""
+    captions, features = cfg["data.captions"], cfg["data.features"]
+    if captions and features:
+        return load_dataset(captions, features)
+    if captions or features:
+        given, unset = ("captions", "features") if captions else ("features", "captions")
+        raise SemhardError(f"data.{given} is set but data.{unset} is not; set both or neither")
     return generate_synthetic(from_config(SyntheticSpec, cfg, seed=cfg["seed"]))
 
 
@@ -155,11 +160,27 @@ def cmd_gen(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    # imported here: `import semhard.cli` would otherwise load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
+
     cfg = _load_config(args)
     split = _load_or_generate(cfg)
     out_dir = Path(args.out)
-    lmh_report = _run_one_training(cfg, out_dir, split, variant="lmh")
-    lseh_report = _run_one_training(cfg, out_dir, split, variant="lseh")
+    # lmh trains in a worker while this process trains lseh. The worker is
+    # forked, not spawned: a spawned one would import NumPy and this package
+    # again. The pool forks before it starts its own thread, and the `with`
+    # block joins the worker however the two runs end.
+    with ProcessPoolExecutor(1, mp_context=get_context("fork")) as pool:
+        lmh_run = pool.submit(_run_one_training, cfg, out_dir, split, "lmh")
+        try:
+            lseh_report = _run_one_training(cfg, out_dir, split, variant="lseh")
+        finally:  # lmh's error wins over lseh's, as when lmh ran first
+            try:
+                lmh_report = lmh_run.result()
+            except BrokenProcessPool as exc:
+                raise SemhardError(f"the lmh run's worker process died: {exc}") from None
 
     threshold = lmh_report.best_m_recall
     crossing = epochs_to_threshold(

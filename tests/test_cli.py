@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import semhard.trainer
 from semhard import encoder as enc
 from semhard.cli import main
 from semhard.data import SyntheticSpec, generate_synthetic
+from semhard.errors import SemhardError
 
 TINY = [
     "--set", "gen.clusters=2",
@@ -286,7 +288,10 @@ class TestCompare:
         assert code == 0, err
         for name in ("encoder.forward", "trainer.validate", "encoder.save_checkpoint"):
             assert tracer.counts[f"{name}.calls"] > 0, name
-        assert tracer.counts["encoder.save_checkpoint.calls"] == 2  # one per variant
+        # lmh trains in a forked worker, out of the tracer's view; the SVD
+        # call shows that the traced run is lseh
+        assert tracer.counts["encoder.save_checkpoint.calls"] == 1
+        assert tracer.counts["textsem.truncated_svd.calls"] == 1
         assert any(span[0] == "evaluation.retrieval_report" for span in tracer.spans)
 
     def test_runs_both_variants_deterministically(self, tmp_path, capsys):
@@ -301,6 +306,53 @@ class TestCompare:
         assert lines[3].startswith("lseh,")
         assert (a / "training_curve_lmh.csv").exists()
         assert (a / "training_curve_lseh.csv").exists()
+
+    def test_each_run_matches_train(self, tmp_path, capsys):
+        # the forked lmh run and the in-process lseh run write what `train` writes
+        code, _, err = run(["compare", "--out", str(tmp_path / "c"), "--seed", "2", *TINY], capsys)
+        assert code == 0, err
+        for variant in ("lmh", "lseh"):
+            out = tmp_path / variant
+            code, _, err = run(["train", "--out", str(out), "--seed", "2", *TINY,
+                                "--set", f"loss.variant={variant}"], capsys)
+            assert code == 0, err
+            compared = tmp_path / "c" / f"best_{variant}.ckpt"
+            assert compared.read_bytes() == (out / "best.ckpt").read_bytes(), variant
+            curves = [(d / name).read_text().splitlines()[1:] for d, name in (
+                (tmp_path / "c", f"training_curve_{variant}.csv"), (out, "training_curve.csv"))]
+            assert curves[0] == curves[1], variant
+
+    def test_dead_worker_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        real_train = semhard.trainer.train
+
+        def train(*args, tag="", **kwargs):
+            if tag == "lmh":
+                os._exit(3)
+            return real_train(*args, tag=tag, **kwargs)
+
+        monkeypatch.setattr(semhard.trainer, "train", train)
+        code, stdout, err = run(["compare", "--out", str(tmp_path / "c"), *TINY], capsys)
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: the lmh run's worker process died: ")
+        assert err.count("\n") == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failing, shown", [
+        (("lmh", "lseh"), "lmh"), (("lmh",), "lmh"), (("lseh",), "lseh"),
+    ], ids=["both", "lmh", "lseh"])
+    def test_lmh_error_wins(self, tmp_path, capsys, monkeypatch, failing, shown):
+        real_train = semhard.trainer.train
+
+        def train(*args, tag="", **kwargs):
+            if tag in failing:
+                raise SemhardError(f"{tag} failed")
+            return real_train(*args, tag=tag, **kwargs)
+
+        monkeypatch.setattr(semhard.trainer, "train", train)
+        code, stdout, err = run(["compare", "--out", str(tmp_path / "c"), *TINY], capsys)
+        assert (code, stdout, err) == (1, "", f"error: {shown} failed\n")
+        assert not (tmp_path / "c" / "comparison.csv").exists()
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("command", [
         ["compare"], ["train", "--set", "loss.variant=lmh"], ["train", "--set", "loss.variant=lseh"],
@@ -472,6 +524,21 @@ class TestErrorPaths:
         assert err == f"error: {data / 'captions.tsv'}: holds no captions\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["train", "svd"])
+    @pytest.mark.parametrize("given, unset", [
+        ("data.captions", "data.features"), ("data.features", "data.captions"),
+    ])
+    def test_one_data_file_without_the_other(self, tmp_path, capsys, command, given, unset):
+        # the named file does not exist: the pair is checked before any file is read
+        code, stdout, err = run(
+            [command, "--out", str(tmp_path / "o"), *TINY,
+             "--set", f"{given}={tmp_path / 'missing'}"],
+            capsys,
+        )
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {given} is set but {unset} is not; set both or neither\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("reader", sorted(NOT_UTF8))
     def test_non_utf8_file_names_file_and_line(self, tmp_path, capsys, reader):
         paths = {"captions": tmp_path / "captions.tsv", "features": tmp_path / "features.txt"}
@@ -523,6 +590,17 @@ def test_import_loads_no_arpack():
     env = {**os.environ, "PYTHONPATH": src}
     code = ("import sys, semhard.cli;"
             " print([m in sys.modules for m in ('scipy.sparse.linalg', 'scipy.linalg')])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[False, False]"
+
+
+def test_import_loads_no_multiprocessing():
+    # only `compare` starts a worker; importing the executor costs setup time
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, semhard.cli; print([m in sys.modules"
+            " for m in ('multiprocessing', 'concurrent.futures.process')])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[False, False]"
