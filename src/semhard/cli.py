@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import encoder as enc
@@ -16,6 +17,7 @@ from . import trainer
 from .data import (
     Dataset,
     SyntheticSpec,
+    caption_lines,
     generate_synthetic,
     load_dataset,
     minibatches,
@@ -61,16 +63,48 @@ def _preprocess_config(cfg: dict[str, object]) -> PreprocessConfig:
     return from_config(PreprocessConfig, cfg, **extra)
 
 
-def _load(cfg: dict[str, object]) -> Dataset:
-    """The configured dataset files, or else, when neither is set, the
-    synthetic spec's corpus."""
+def _data_files(cfg: dict[str, object]) -> tuple[str, str] | None:
+    """The configured (captions, features) files, or None when neither is set."""
     captions, features = cfg["data.captions"], cfg["data.features"]
     if captions and features:
-        return load_dataset(captions, features)
+        return captions, features
     if captions or features:
         given, unset = ("captions", "features") if captions else ("features", "captions")
         raise SemhardError(f"data.{given} is set but data.{unset} is not; set both or neither")
+    return None
+
+
+def _load(cfg: dict[str, object]) -> Dataset:
+    """The configured dataset files, or else, when neither is set, the
+    synthetic spec's corpus."""
+    files = _data_files(cfg)
+    if files:
+        return load_dataset(*files)
     return generate_synthetic(from_config(SyntheticSpec, cfg, seed=cfg["seed"]))
+
+
+@contextmanager
+def _in_worker(what: str, fn, *args):
+    """Yield the future of `fn(*args)`, run in one forked worker while the
+    `with` body runs here. Leaving the block waits for the worker on every
+    path, and the worker's error wins over the body's; a worker that dies
+    without raising fails as one SemhardError naming `what`."""
+    # imported here: `import semhard.cli` would otherwise load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
+
+    # forked, not spawned, which would import NumPy and this package again;
+    # the pool forks before it starts its own thread
+    with ProcessPoolExecutor(1, mp_context=get_context("fork")) as pool:
+        future = pool.submit(fn, *args)
+        try:
+            yield future
+        finally:
+            try:
+                future.result()
+            except BrokenProcessPool as exc:
+                raise SemhardError(f"{what} worker process died: {exc}") from None
 
 
 def _load_or_generate(cfg: dict[str, object]) -> tuple[Dataset, Dataset]:
@@ -136,12 +170,28 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _check_dataset(captions_path, features_path) -> None:
+    """Every check of `load_dataset`, with nothing to send back."""
+    load_dataset(captions_path, features_path)
+
+
 def cmd_svd(args) -> int:
     cfg = _load_config(args)
     tcfg = train_config_from_dict(cfg)
-    sem, _ = trainer.corpus_semantics(
-        _load(cfg).captions, _preprocess_config(cfg), tcfg.svd_k, tcfg.seed
-    )
+    pre_cfg = _preprocess_config(cfg)
+    files = _data_files(cfg)
+    if files is None:  # the synthetic corpus has nothing to check
+        sem, _ = trainer.corpus_semantics(_load(cfg).captions, pre_cfg, tcfg.svd_k, tcfg.seed)
+    else:  # the SVD needs only the texts, so the dataset is checked in a worker meanwhile
+        with _in_worker("the dataset check's", _check_dataset, *files) as checked:
+            def stop_if_failed():
+                if checked.done():
+                    checked.result()
+
+            texts = [text for *_, text in caption_lines(files[0])]
+            sem, _ = trainer.corpus_semantics(
+                texts, pre_cfg, tcfg.svd_k, tcfg.seed, before_svd=stop_if_failed
+            )
     Path(args.out).mkdir(parents=True, exist_ok=True)
     out = Path(args.out) / "semantics.bin"
     export_semantics(sem, out)
@@ -160,27 +210,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    # imported here: `import semhard.cli` would otherwise load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-    from multiprocessing import get_context
-
     cfg = _load_config(args)
     split = _load_or_generate(cfg)
     out_dir = Path(args.out)
-    # lmh trains in a worker while this process trains lseh. The worker is
-    # forked, not spawned: a spawned one would import NumPy and this package
-    # again. The pool forks before it starts its own thread, and the `with`
-    # block joins the worker however the two runs end.
-    with ProcessPoolExecutor(1, mp_context=get_context("fork")) as pool:
-        lmh_run = pool.submit(_run_one_training, cfg, out_dir, split, "lmh")
-        try:
-            lseh_report = _run_one_training(cfg, out_dir, split, variant="lseh")
-        finally:  # lmh's error wins over lseh's, as when lmh ran first
-            try:
-                lmh_report = lmh_run.result()
-            except BrokenProcessPool as exc:
-                raise SemhardError(f"the lmh run's worker process died: {exc}") from None
+    # lmh trains in a worker while this process trains lseh; lmh's error
+    # wins over lseh's, as when lmh ran first
+    with _in_worker("the lmh run's", _run_one_training, cfg, out_dir, split, "lmh") as lmh_run:
+        lseh_report = _run_one_training(cfg, out_dir, split, variant="lseh")
+    lmh_report = lmh_run.result()
 
     threshold = lmh_report.best_m_recall
     crossing = epochs_to_threshold(

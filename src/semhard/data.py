@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -122,18 +123,7 @@ def load_dataset(captions_path: str | Path, features_path: str | Path) -> Datase
     captions: list[str] = []
     caption_image: list[int] = []
     seen_ids: set[str] = set()
-    for lineno, line in enumerate(read_lines(captions_path), 1):
-        if not line.strip():
-            continue
-        where = f"{captions_path}:{lineno}"
-        try:
-            desc_id, image_id, text = line.split("\t", 2)
-            img = int(image_id)
-        except ValueError:
-            raise MalformedLine(
-                f"{where}: expected description_id<TAB>image_id<TAB>caption"
-                " with an integer image_id"
-            ) from None
+    for where, desc_id, img, text in caption_lines(captions_path):
         if desc_id in seen_ids:
             raise DuplicateDescriptionId(f"{where}: duplicate description id {desc_id!r}")
         seen_ids.add(desc_id)
@@ -154,8 +144,27 @@ def load_dataset(captions_path: str | Path, features_path: str | Path) -> Datase
     return Dataset(features=features, captions=captions, caption_image=caption_image)
 
 
+def caption_lines(path: str | Path) -> Iterator[tuple[str, str, int, str]]:
+    """Each non-blank line of a captions TSV as (`path:line`, description id,
+    image id, caption text); a line that breaks the format fails as MalformedLine."""
+    for lineno, line in enumerate(read_lines(path), 1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            desc_id, image_id, text = line.split("\t", 2)
+            img = int(image_id)
+        except ValueError:
+            raise MalformedLine(
+                f"{where}: expected description_id<TAB>image_id<TAB>caption"
+                " with an integer image_id"
+            ) from None
+        yield where, desc_id, img, text
+
+
 def _load_features(path: str | Path) -> np.ndarray:
-    """The header `n_img d_img`, then n_img rows of d_img finite floats."""
+    """The header `n_img d_img`, then n_img rows of d_img finite floats, then
+    nothing but blank lines."""
     lines = read_lines(path)
     if not lines:
         raise TruncatedFile(f"{path}:1: the file is empty; expected the header `n_img d_img`")
@@ -170,6 +179,11 @@ def _load_features(path: str | Path) -> np.ndarray:
         raise TruncatedFile(
             f"{path}:{len(lines) + 1}: feature row {len(lines) - 1} is missing;"
             f" the header declares {n_img} rows"
+        )
+    extra = next((i for i in range(1 + n_img, len(lines)) if lines[i].strip()), None)
+    if extra is not None:
+        raise MalformedLine(
+            f"{path}:{extra + 1}: a line past the last feature row; the header declares {n_img} rows"
         )
     # as wide as the first row, so a d_img that row breaks fails on it, not in the allocation
     width = len(lines[1].split()) if n_img else d_img

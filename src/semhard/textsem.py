@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,8 @@ class PreprocessConfig:
 
 @dataclass
 class TermDocMatrix:
-    matrix: sp.csr_matrix  # n_docs x n_terms, TF-IDF weights
+    matrix: sp.csr_matrix     # n_docs x n_terms, TF-IDF weights
+    columns: list[list[int]]  # each document's tokens as matrix columns, in order
 
 
 @dataclass
@@ -79,7 +81,7 @@ def preprocess(text: str, cfg: PreprocessConfig = PreprocessConfig()) -> list[st
 
 def build_tfidf(docs: list[list[str]]) -> tuple[dict[str, int], TermDocMatrix]:
     """Build the sparse TF-IDF matrix: raw count x ln(n/df), no normalization,
-    and its term -> column map.
+    its term -> column map, and each document's tokens as columns.
 
     This is the one place the sorted term vocabulary is built. Raises
     AllDocumentsEmpty when every token sequence is empty; an empty one
@@ -94,13 +96,14 @@ def build_tfidf(docs: list[list[str]]) -> tuple[dict[str, int], TermDocMatrix]:
 
     term_to_index = {t: j for j, t in enumerate(sorted({t for d in docs for t in d}))}
     n, w = len(docs), len(term_to_index)
-    cols = np.fromiter((term_to_index[t] for d in docs for t in d), np.int64, lengths.sum())
+    columns = [[term_to_index[t] for t in d] for d in docs]
+    cols = np.fromiter(chain.from_iterable(columns), np.int64, lengths.sum())
     rows = np.repeat(np.arange(n), lengths)
     tf = sp.csr_matrix((np.ones(cols.size), (rows, cols)), shape=(n, w))
     tf.sum_duplicates()
     df = np.bincount(tf.indices, minlength=w)
     A = tf.multiply(np.log(n / df)[np.newaxis, :]).tocsr()
-    return term_to_index, TermDocMatrix(A)
+    return term_to_index, TermDocMatrix(A, columns)
 
 
 def _canonicalize_signs(V: np.ndarray, B: np.ndarray) -> None:

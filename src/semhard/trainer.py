@@ -11,6 +11,7 @@ the checkpoint once, when training ends. The CLI's eval and diag share
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -83,19 +84,19 @@ def prepare_text(
     pre_cfg: PreprocessConfig,
     svd_k: int | None = None,
     seed: int = 0,
+    before_svd: Callable[[], object] = lambda: None,
 ) -> PreparedText:
     """Preprocess each split once and map it to ids over the sorted train
     vocabulary of the train split's TF-IDF matrix, dropping out-of-vocabulary
-    tokens. With `svd_k`, that matrix also goes through the truncated SVD.
+    tokens. With `svd_k`, `before_svd()` is called, and then that matrix goes
+    through the truncated SVD.
 
     Raises EmptySequence, before any SVD, for a caption of either split
     that keeps no in-vocabulary token: the encoder cannot embed it.
     """
-    train_tokens = [preprocess(c, pre_cfg) for c in train_captions]
-    index, tdm = build_tfidf(train_tokens)
+    index, tdm = build_tfidf([preprocess(c, pre_cfg) for c in train_captions])
 
-    def lay_out(split, token_seqs):
-        ids = [[index[t] for t in seq if t in index] for seq in token_seqs]
+    def lay_out(split, ids):
         empty = next((i for i, seq in enumerate(ids) if not seq), None)
         if empty is not None:
             raise EmptySequence(
@@ -103,10 +104,13 @@ def prepare_text(
             )
         return enc.token_layout(ids)
 
-    train = lay_out("train", train_tokens)
-    val = lay_out("val", [preprocess(c, pre_cfg) for c in val_captions])
-    A = tdm.matrix
-    sem = None if svd_k is None else truncated_svd(A, min(svd_k, min(A.shape) - 1), seed)
+    train = lay_out("train", tdm.columns)
+    val = lay_out("val", [[index[t] for t in preprocess(c, pre_cfg) if t in index]
+                          for c in val_captions])
+    A, sem = tdm.matrix, None
+    if svd_k is not None:
+        before_svd()
+        sem = truncated_svd(A, min(svd_k, min(A.shape) - 1), seed)
     return PreparedText(len(index), train, val, sem)
 
 
@@ -115,10 +119,11 @@ def corpus_semantics(
     pre_cfg: PreprocessConfig,
     k_ceiling: int,
     seed: int,
+    before_svd: Callable[[], object] = lambda: None,
 ) -> tuple[ReducedSemantics, enc.TokenLayout]:
     """The semantics of a whole corpus and its captions as ids: `prepare_text`
     with no val split, so an empty caption fails here as it does in training."""
-    text = prepare_text(captions, [], pre_cfg, k_ceiling, seed)
+    text = prepare_text(captions, [], pre_cfg, k_ceiling, seed, before_svd)
     return text.sem, text.train
 
 

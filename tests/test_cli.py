@@ -255,6 +255,71 @@ class TestSvd:
         assert err == "error: train caption 1 has no in-vocabulary token after preprocessing\n"
         assert not (tmp_path / "svd").exists()
 
+    def test_files_export_matches_the_loaded_dataset(self, tmp_path, capsys):
+        from semhard.data import load_dataset
+        from semhard.textsem import PreprocessConfig, export_semantics
+
+        data = tmp_path / "data"
+        run(["gen", "--out", str(data), *TINY], capsys)
+        files = [data / "captions.tsv", data / "features.txt"]
+        code, _, err = run(["svd", "--out", str(tmp_path / "svd"), "--seed", "4", *TINY,
+                            "--set", f"data.captions={files[0]}",
+                            "--set", f"data.features={files[1]}"], capsys)
+        assert code == 0, err
+        sem, _ = semhard.trainer.corpus_semantics(
+            load_dataset(*files).captions, PreprocessConfig(), 10, 4
+        )
+        export_semantics(sem, tmp_path / "expected.bin")
+        exported = (tmp_path / "svd" / "semantics.bin").read_bytes()
+        assert exported == (tmp_path / "expected.bin").read_bytes()
+
+    @pytest.mark.parametrize("fault", ["dead-worker", "nan-row", "missing-features"])
+    @pytest.mark.parametrize("captions", [
+        ["a red kite", "two red dogs"], ["a red kite", "the of and", "two red dogs"],
+    ], ids=["captions-ok", "an-empty-caption"])  # the check's error wins over the caption's
+    def test_failed_check_writes_nothing(self, tmp_path, capsys, monkeypatch, fault, captions):
+        data = write_corpus(tmp_path, captions)
+        features = tmp_path / "data" / "features.txt"
+        if fault == "dead-worker":
+            monkeypatch.setattr(semhard.cli, "load_dataset", lambda *paths: os._exit(3))
+            shown = "error: the dataset check's worker process died: "
+        elif fault == "nan-row":
+            features.write_text("1 2\n0.5 nan\n")
+            shown = f"error: {features}:2: feature row 0 holds NaN or inf"
+        else:
+            features.unlink()
+            shown = "error: [Errno 2] No such file or directory: "
+        out = tmp_path / "svd"
+        code, stdout, err = run(["svd", "--out", str(out), *TINY, *data], capsys)
+        assert (code, stdout) == (1, "")
+        assert err.startswith(shown)
+        assert err.count("\n") == 1
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_failed_check_stops_the_command_before_the_svd(self, tmp_path, capsys, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor, wait
+
+        futures, svd_calls = [], []
+        real_submit, real_tfidf = ProcessPoolExecutor.submit, semhard.trainer.build_tfidf
+
+        def submit(pool, *args, **kwargs):
+            futures.append(real_submit(pool, *args, **kwargs))
+            return futures[-1]
+
+        def build_tfidf(docs):  # the check ends while this process reads the captions
+            assert wait(futures, timeout=60).done == set(futures)
+            return real_tfidf(docs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        monkeypatch.setattr(semhard.trainer, "build_tfidf", build_tfidf)
+        monkeypatch.setattr(semhard.trainer, "truncated_svd", lambda *a: svd_calls.append(a))
+        data = write_corpus(tmp_path, ["a red kite", "two red dogs"])
+        (tmp_path / "data" / "features.txt").unlink()
+        code, _, err = run(["svd", "--out", str(tmp_path / "svd"), *TINY, *data], capsys)
+        assert (code, len(futures), svd_calls) == (1, 1, [])
+        assert err.startswith("error: [Errno 2] No such file or directory: ")
+
     def test_benchmark_tracer_hooks_still_match(self, tmp_path, capsys, monkeypatch):
         # the benchmark's tracer wraps named functions and reads their results;
         # a rename or a new return shape must fail here, not only in a traced run
@@ -418,8 +483,9 @@ class TestErrorPaths:
     @pytest.mark.parametrize("command", ["svd", "train"])
     @pytest.mark.parametrize(
         "features_text, line",
-        [("", 1), ("two 3\n", 1), ("2 2\n0.0 1.0\nnan 1.0\n", 3), ("2 2\n0.0 1.0\n2.0\n", 3)],
-        ids=["empty", "bad-header", "nan", "short-row"],
+        [("", 1), ("two 3\n", 1), ("2 2\n0.0 1.0\nnan 1.0\n", 3), ("2 2\n0.0 1.0\n2.0\n", 3),
+         ("2 2\n0.0 1.0\n1.0 2.0\n3.0 4.0\nnot numbers at all\n", 4)],
+        ids=["empty", "bad-header", "nan", "short-row", "extra-row"],
     )
     def test_bad_features_file_names_the_line(self, tmp_path, capsys, command, features_text, line):
         data = tmp_path / "data"
@@ -596,11 +662,13 @@ def test_import_loads_no_arpack():
 
 
 def test_import_loads_no_multiprocessing():
-    # only `compare` starts a worker; importing the executor costs setup time
+    # only `compare` and `svd` on files start a worker, and importing the
+    # executor costs setup time
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, semhard.cli; print([m in sys.modules"
-            " for m in ('multiprocessing', 'concurrent.futures.process')])")
+    loaded = ("print([m in sys.modules"
+              " for m in ('multiprocessing', 'concurrent.futures.process')])")
+    code = f"import sys, semhard.data; {loaded}; import semhard.cli; {loaded}"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[False, False]"
+    assert out.stdout.split("\n") == ["[False, False]", "[False, False]", ""]

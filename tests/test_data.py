@@ -94,6 +94,23 @@ class TestLoadDataset:
         with pytest.raises(MalformedLine, match=re.escape(f"{feat}:4:")):
             load_dataset(cap, feat)
 
+    @pytest.mark.parametrize("tail, line", [
+        (["3.0 4.0", "not numbers at all"], 4), (["", "not numbers at all", ""], 5),
+    ], ids=["extra-row", "after-a-blank"])
+    def test_line_past_the_declared_rows_names_it(self, tmp_path, tail, line):
+        cap, feat = write_pair(
+            tmp_path, ["d0\t0\tred cat", "d1\t1\tblue dog"], ["2 2", "0.0 1.0", "1.0 2.0", *tail]
+        )
+        message = f"{feat}:{line}: a line past the last feature row; the header declares 2 rows"
+        with pytest.raises(MalformedLine, match=re.escape(message)):
+            load_dataset(cap, feat)
+
+    def test_trailing_blank_lines_are_accepted(self, tmp_path):
+        cap, feat = write_pair(
+            tmp_path, ["d0\t0\tred cat", "d1\t1\tblue dog"], ["2 2", "0.0 1.0", "1.0 2.0", "", " \t"]
+        )
+        assert load_dataset(cap, feat).features.tolist() == [[0.0, 1.0], [1.0, 2.0]]
+
     @pytest.mark.parametrize("value", ["1_000", "+.5", "5.", "-0", "1E3", "1e-400", "\u0661\u0662"])
     def test_feature_values_parse_like_float(self, tmp_path, value):
         cap, feat = write_pair(tmp_path, ["d0\t0\tok"], ["1 2", f"{value} 1.0"])
