@@ -113,16 +113,14 @@ def _load_or_generate(cfg: dict[str, object]) -> tuple[Dataset, Dataset]:
     return split_dataset(_load(cfg), cfg["val_fraction"], cfg["seed"])
 
 
-def _checkpoint_text(checkpoint, cfg, train_ds, val_captions, svd_k=None):
+def _checkpoint_text(checkpoint, cfg, train_ds, val_captions):
     """The checkpoint's weights and the captions as ids over the vocabulary
     rebuilt from `cfg`, which must be as large as the one it was trained on."""
     params = enc.load_checkpoint(checkpoint)
     if params.W_img.shape[0] != train_ds.features.shape[1]:
         raise ShapeMismatch(f"{checkpoint}: the checkpoint takes {params.W_img.shape[0]}-wide"
                             f" image features, but this config's are {train_ds.features.shape[1]}")
-    text = trainer.prepare_text(
-        train_ds.captions, val_captions, _preprocess_config(cfg), svd_k, cfg["seed"]
-    )
+    text = trainer.prepare_text(train_ds.captions, val_captions, _preprocess_config(cfg))
     if params.E_word.shape[0] != text.vocab_size:
         raise ShapeMismatch(
             f"{checkpoint}: the checkpoint embeds {params.E_word.shape[0]} words,"
@@ -159,6 +157,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     train_ds, val_ds = _load_or_generate(cfg)
+    trainer.check_val_split(val_ds)
     params, text = _checkpoint_text(args.checkpoint, cfg, train_ds, val_ds.captions)
     V = enc.encode_images(params, val_ds.features)
     U = enc.encode_texts(params, text.val)
@@ -184,14 +183,10 @@ def cmd_svd(args) -> int:
         sem, _ = trainer.corpus_semantics(_load(cfg).captions, pre_cfg, tcfg.svd_k, tcfg.seed)
     else:  # the SVD needs only the texts, so the dataset is checked in a worker meanwhile
         with _in_worker("the dataset check's", _check_dataset, *files) as checked:
-            def stop_if_failed():
-                if checked.done():
-                    checked.result()
-
-            texts = [text for *_, text in caption_lines(files[0])]
-            sem, _ = trainer.corpus_semantics(
-                texts, pre_cfg, tcfg.svd_k, tcfg.seed, before_svd=stop_if_failed
-            )
+            text = trainer.prepare_text([t for *_, t in caption_lines(files[0])], [], pre_cfg)
+            if checked.done():  # a check that has already failed ends the command before the SVD
+                checked.result()
+            sem = trainer.semantics(text, tcfg.svd_k, tcfg.seed)
     Path(args.out).mkdir(parents=True, exist_ok=True)
     out = Path(args.out) / "semantics.bin"
     export_semantics(sem, out)
@@ -249,11 +244,11 @@ def cmd_diag(args) -> int:
     if tcfg.loss.variant == "lsh":
         raise SemhardError("diagnostics need a max-of-hinges loss variant")
     train_ds, _ = _load_or_generate(cfg)
-    svd_k = tcfg.svd_k if tcfg.loss.variant == "lseh" else None
-    params, text = _checkpoint_text(args.checkpoint, cfg, train_ds, [], svd_k)
+    params, text = _checkpoint_text(args.checkpoint, cfg, train_ds, [])
+    sem = trainer.semantics(text, tcfg.svd_k, tcfg.seed) if tcfg.loss.variant == "lseh" else None
     logs = []
     for batch in minibatches(train_ds.n_captions, tcfg.batch_size, tcfg.seed, 0):
-        _, out = trainer.batch_loss(params, train_ds, text.train, batch, tcfg.loss, text.sem)
+        _, out = trainer.batch_loss(params, train_ds, text.train, batch, tcfg.loss, sem)
         logs.append((out.hard_neg_img.tolist(), out.hard_neg_desc.tolist()))
 
     stats = hard_negative_uniques(logs)

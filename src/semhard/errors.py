@@ -64,11 +64,12 @@ class DuplicateDescriptionId(SemhardError):
 
 
 class EmptyDataset(SemhardError):
-    """The dataset holds no items."""
+    """The dataset holds no items, or a corpus has too few captions for TF-IDF."""
 
 
 class BeforeFirstValidation(SemhardError):
-    """A training run would finish without ever validating."""
+    """A training run would finish without ever validating, or the validation
+    split holds no caption to validate or evaluate on."""
 
 
 class UnknownConfigKey(SemhardError):

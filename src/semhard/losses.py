@@ -96,7 +96,6 @@ def lsh(block: SimilarityBlock, cfg: LossConfig) -> LossOutput:
     value = float(h_row[act_row].sum() + h_col[act_col].sum())
 
     grad = act_row.astype(np.float64) + act_col.astype(np.float64)
-    np.fill_diagonal(grad, 0.0)
     diag_grad = -(act_row.sum(axis=1) + act_col.sum(axis=0)).astype(np.float64)
     grad[np.diag_indices(b)] = diag_grad
     return LossOutput(value=value, grad_S=grad)

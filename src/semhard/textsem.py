@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import read_matrices, write_matrices
-from .errors import AllDocumentsEmpty, BadCheckpoint, ConvergenceFailure, KTooLarge
+from .errors import AllDocumentsEmpty, BadCheckpoint, ConvergenceFailure, EmptyDataset, KTooLarge
 from .stemming import stem
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -84,12 +84,13 @@ def build_tfidf(docs: list[list[str]]) -> tuple[dict[str, int], TermDocMatrix]:
     its term -> column map, and each document's tokens as columns.
 
     This is the one place the sorted term vocabulary is built. Raises
-    AllDocumentsEmpty when every token sequence is empty; an empty one
+    EmptyDataset for fewer than 2 documents (one alone has every idf 0),
+    and AllDocumentsEmpty when every token sequence is empty; an empty one
     among others is an all-zero row. Rows follow corpus order; columns are
     terms in sorted order.
     """
     if len(docs) < 2:
-        raise ValueError("need at least 2 documents")
+        raise EmptyDataset(f"TF-IDF needs at least 2 captions, got {len(docs)}")
     lengths = np.fromiter(map(len, docs), np.int64, len(docs))
     if not lengths.any():
         raise AllDocumentsEmpty("every document is empty after preprocessing")

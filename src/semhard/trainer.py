@@ -6,16 +6,17 @@ backpropagate, and apply SGD. Every `validation_step` cumulative batches
 the model is validated on the held-out set, and its weights are kept iff
 the mean-recall score strictly improves; the best weights are written to
 the checkpoint once, when training ends. The CLI's eval and diag share
-`prepare_text` (captions to ids and semantics) and `batch_loss` with it.
+`prepare_text` (captions to ids and the TF-IDF) and `batch_loss` with it;
+`semantics` runs the truncated SVD for lseh `train`, lseh `diag` and `svd`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import encoder as enc
 from .data import Dataset, SyntheticSpec, minibatches, read_lines
@@ -71,28 +72,24 @@ class TrainingReport:
 @dataclass
 class PreparedText:
     """Both splits as ids over the train vocabulary, each laid out once for
-    encoding (a batch is a row selection), plus optional train semantics."""
+    encoding (a batch is a row selection), plus the train split's TF-IDF."""
     vocab_size: int
     train: enc.TokenLayout
     val: enc.TokenLayout
-    sem: ReducedSemantics | None
+    tfidf: sp.csr_matrix
 
 
 def prepare_text(
     train_captions: list[str],
     val_captions: list[str],
     pre_cfg: PreprocessConfig,
-    svd_k: int | None = None,
-    seed: int = 0,
-    before_svd: Callable[[], object] = lambda: None,
 ) -> PreparedText:
     """Preprocess each split once and map it to ids over the sorted train
     vocabulary of the train split's TF-IDF matrix, dropping out-of-vocabulary
-    tokens. With `svd_k`, `before_svd()` is called, and then that matrix goes
-    through the truncated SVD.
+    tokens. Runs no SVD.
 
-    Raises EmptySequence, before any SVD, for a caption of either split
-    that keeps no in-vocabulary token: the encoder cannot embed it.
+    Raises EmptySequence for a caption of either split that keeps no
+    in-vocabulary token: the encoder cannot embed it.
     """
     index, tdm = build_tfidf([preprocess(c, pre_cfg) for c in train_captions])
 
@@ -107,11 +104,13 @@ def prepare_text(
     train = lay_out("train", tdm.columns)
     val = lay_out("val", [[index[t] for t in preprocess(c, pre_cfg) if t in index]
                           for c in val_captions])
-    A, sem = tdm.matrix, None
-    if svd_k is not None:
-        before_svd()
-        sem = truncated_svd(A, min(svd_k, min(A.shape) - 1), seed)
-    return PreparedText(len(index), train, val, sem)
+    return PreparedText(len(index), train, val, tdm.matrix)
+
+
+def semantics(text: PreparedText, k_ceiling: int, seed: int) -> ReducedSemantics:
+    """The train split's semantics: the truncated SVD of its n x w TF-IDF
+    matrix at rank min(k_ceiling, min(n, w) - 1)."""
+    return truncated_svd(text.tfidf, min(k_ceiling, min(text.tfidf.shape) - 1), seed)
 
 
 def corpus_semantics(
@@ -119,12 +118,11 @@ def corpus_semantics(
     pre_cfg: PreprocessConfig,
     k_ceiling: int,
     seed: int,
-    before_svd: Callable[[], object] = lambda: None,
 ) -> tuple[ReducedSemantics, enc.TokenLayout]:
     """The semantics of a whole corpus and its captions as ids: `prepare_text`
     with no val split, so an empty caption fails here as it does in training."""
-    text = prepare_text(captions, [], pre_cfg, k_ceiling, seed, before_svd)
-    return text.sem, text.train
+    text = prepare_text(captions, [], pre_cfg)
+    return semantics(text, k_ceiling, seed), text.train
 
 
 def batch_loss(
@@ -156,6 +154,13 @@ def validate(
     return retrieval_report(V @ U.T, val_ds.relevance).m_recall
 
 
+def check_val_split(val_ds: Dataset) -> None:
+    """Raise BeforeFirstValidation for a validation split with no caption."""
+    if val_ds.n_captions == 0:
+        raise BeforeFirstValidation(
+            "the validation split holds no caption: no image has two captions")
+
+
 def train(
     train_ds: Dataset,
     val_ds: Dataset,
@@ -167,7 +172,8 @@ def train(
 ) -> TrainingReport:
     """Run the full training loop and return the validation trajectory. It
     writes `training_curve.csv` and `best.ckpt`, named `*_<tag>` under a tag.
-    A schedule that would never validate fails before any work or write."""
+    A schedule that never validates, or an empty val split, fails before any work or write."""
+    check_val_split(val_ds)
     first_epoch_batches = len(minibatches(train_ds.n_captions, cfg.batch_size, cfg.seed, 0))
     if cfg.epochs * first_epoch_batches < cfg.validation_step:  # every epoch has as many batches
         raise BeforeFirstValidation(
@@ -176,8 +182,8 @@ def train(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    svd_k = cfg.svd_k if cfg.loss.variant == "lseh" else None
-    text = prepare_text(train_ds.captions, val_ds.captions, pre_cfg, svd_k, cfg.seed)
+    text = prepare_text(train_ds.captions, val_ds.captions, pre_cfg)
+    sem = semantics(text, cfg.svd_k, cfg.seed) if cfg.loss.variant == "lseh" else None
 
     params = enc.init_params(
         d_img=train_ds.features.shape[1],
@@ -197,7 +203,7 @@ def train(
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate / (10.0 if epoch >= cfg.lr_update_epoch else 1.0)
         for batch in minibatches(train_ds.n_captions, cfg.batch_size, cfg.seed, epoch):
-            cache, out = batch_loss(params, train_ds, text.train, batch, cfg.loss, text.sem)
+            cache, out = batch_loss(params, train_ds, text.train, batch, cfg.loss, sem)
             loss_acc.append(out.value)
             if out.hard_neg_img is not None:
                 hard_neg_logs.append(
@@ -212,7 +218,7 @@ def train(
             if batches_done % cfg.validation_step == 0:
                 score = validate(params, val_ds, text.val)
                 epoch_fraction = batches_done / first_epoch_batches
-                loss_mean = float(np.mean(loss_acc)) if loss_acc else 0.0
+                loss_mean = float(np.mean(loss_acc))
                 loss_acc = []
                 records.append((epoch_fraction, score, loss_mean))
                 if score > best:

@@ -138,6 +138,23 @@ class TestEvalAndDiag:
         assert code == 0, err
         assert (tmp_path / "diag" / "hard_negative_diagnostics.csv").exists()
 
+    def test_diag_lseh_checks_the_vocabulary_before_the_svd(self, tmp_path, capsys, monkeypatch):
+        run_dir = tmp_path / "run"
+        run(["train", "--out", str(run_dir), "--set", "loss.variant=lmh", *TINY], capsys)
+        checkpoint = run_dir / "best.ckpt"
+        trained_words = enc.load_checkpoint(checkpoint).E_word.shape[0]
+        svd_calls = []
+        monkeypatch.setattr(semhard.trainer, "truncated_svd", lambda *a: svd_calls.append(a))
+        code, stdout, err = run(
+            ["diag", "--checkpoint", str(checkpoint), "--out", str(tmp_path / "diag"), *TINY,
+             "--set", "loss.variant=lseh", "--set", "min_token_length=5"],
+            capsys,
+        )
+        assert (code, stdout, svd_calls) == (1, "", [])
+        assert err.startswith(f"error: {checkpoint}: the checkpoint embeds {trained_words} words")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "diag").exists()
+
     def test_diag_lsh_fails_before_reading_the_checkpoint(self, tmp_path, capsys):
         code, _, err = run(
             ["diag", "--checkpoint", str(tmp_path / "nope.ckpt"),
@@ -254,6 +271,14 @@ class TestSvd:
         assert code == 1
         assert err == "error: train caption 1 has no in-vocabulary token after preprocessing\n"
         assert not (tmp_path / "svd").exists()
+
+    def test_one_caption_corpus_names_the_count(self, tmp_path, capsys):
+        data = write_corpus(tmp_path, ["a red kite"])
+        code, stdout, err = run(["svd", "--out", str(tmp_path / "svd"), *TINY, *data], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == "error: TF-IDF needs at least 2 captions, got 1\n"
+        assert not (tmp_path / "svd").exists()
+        assert multiprocessing.active_children() == []
 
     def test_files_export_matches_the_loaded_dataset(self, tmp_path, capsys):
         from semhard.data import load_dataset
@@ -560,6 +585,31 @@ class TestErrorPaths:
         assert code == 1
         assert err == "error: the run would never validate: 1 epochs x 0 batches < validation_step=2\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--set", "loss.variant=lmh"], ["train", "--set", "loss.variant=lseh"],
+        ["compare"], ["eval", "--checkpoint", "never-read.ckpt"],
+    ], ids=["train-lmh", "train-lseh", "compare", "eval"])
+    def test_empty_validation_split_fails_first(self, tmp_path, capsys, monkeypatch, command):
+        # every image has one caption, so the split holds none out
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "captions.tsv").write_text("d0\t0\ta red kite\nd1\t1\ttwo red dogs\n"
+                                           "d2\t2\ta dog and a kite\n")
+        (data / "features.txt").write_text("3 2\n0.5 1.0\n1.0 0.0\n0.0 1.0\n")
+        svd_calls = []
+        monkeypatch.setattr(semhard.trainer, "truncated_svd", lambda *a: svd_calls.append(a))
+        out = tmp_path / "o"
+        code, stdout, err = run(
+            [*command, "--out", str(out), *TINY, "--set", "batch_size=2",
+             "--set", "validation_step=1", "--set", f"data.captions={data / 'captions.tsv'}",
+             "--set", f"data.features={data / 'features.txt'}"],
+            capsys,
+        )
+        assert (code, stdout, svd_calls) == (1, "", [])
+        assert err == "error: the validation split holds no caption: no image has two captions\n"
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("command", ["train", "gen", "svd"])
     @pytest.mark.parametrize("source", ["file", "--set", "--seed"])

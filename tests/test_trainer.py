@@ -7,7 +7,7 @@ import pytest
 
 import semhard.trainer
 from semhard import encoder as enc
-from semhard.data import SyntheticSpec, generate_synthetic, split_dataset
+from semhard.data import Dataset, SyntheticSpec, generate_synthetic, split_dataset
 from semhard.errors import (BadConfigValue, BeforeFirstValidation, EmptySequence, MalformedLine,
                             UnknownConfigKey)
 from semhard.evaluation import retrieval_report
@@ -154,6 +154,10 @@ class TestTrain:
 
 class TestPrepareText:
     CAPTIONS = ["a red bicycle", "two dogs running", "a red kite flying"]
+    EMPTY_CAPTION_CASES = [
+        (["the a of"], ["red dogs"], "train caption 3"),
+        ([], ["red dogs", "an unseen zebra"], "val caption 1"),
+    ]
 
     @pytest.fixture
     def svd_calls(self, monkeypatch):
@@ -167,19 +171,37 @@ class TestPrepareText:
         return calls
 
     def test_ids_and_semantics(self, svd_calls):
-        text = prepare_text(self.CAPTIONS, ["red dogs"], PreprocessConfig(), svd_k=1)
-        assert svd_calls == [1]
+        text = prepare_text(self.CAPTIONS, ["red dogs"], PreprocessConfig())
+        assert svd_calls == []
         assert text.vocab_size == 7
         assert text.train.lengths.tolist() == [2, 3, 3]
-        assert text.sem.B.shape == (3, 1)
+        sem = semhard.trainer.semantics(text, 1, 0)
+        assert svd_calls == [1]
+        assert sem.B.shape == (3, 1)
 
-    @pytest.mark.parametrize("train_extra,val,message", [
-        (["the a of"], ["red dogs"], "train caption 3"),
-        ([], ["red dogs", "an unseen zebra"], "val caption 1"),
-    ])
+    @pytest.mark.parametrize("k_ceiling", [2, 3, 400])
+    def test_semantics_rank_stops_below_the_smaller_side(self, svd_calls, k_ceiling):
+        # 3 captions over 7 terms: at most min(n, w) - 1 = 2 columns
+        text = prepare_text(self.CAPTIONS, [], PreprocessConfig())
+        assert semhard.trainer.semantics(text, k_ceiling, 0).B.shape == (3, 2)
+        assert svd_calls == [2]
+
+    @pytest.mark.parametrize("train_extra,val,message", EMPTY_CAPTION_CASES)
     def test_empty_caption_fails_before_the_svd(self, svd_calls, train_extra, val, message):
         with pytest.raises(EmptySequence, match=message):
-            prepare_text(self.CAPTIONS + train_extra, val, PreprocessConfig(), svd_k=1)
+            prepare_text(self.CAPTIONS + train_extra, val, PreprocessConfig())
+        assert svd_calls == []
+
+    @pytest.mark.parametrize("train_extra,val,message", EMPTY_CAPTION_CASES)
+    def test_lseh_train_fails_on_an_empty_caption_before_the_svd(
+        self, svd_calls, tmp_path, train_extra, val, message
+    ):
+        def one_image_each(captions):
+            return Dataset(np.ones((len(captions), 2)), captions, np.arange(len(captions)))
+
+        cfg = small_cfg(epochs=1, batch_size=2, validation_step=1)
+        with pytest.raises(EmptySequence, match=message):
+            train(one_image_each(self.CAPTIONS + train_extra), one_image_each(val), cfg, tmp_path)
         assert svd_calls == []
 
 
