@@ -163,7 +163,6 @@ def cmd_eval(args) -> int:
     U = enc.encode_texts(params, text.val)
     report = retrieval_report(V @ U.T, val_ds.relevance)
     out = Path(args.out) / "retrieval_report.csv"
-    Path(args.out).mkdir(parents=True, exist_ok=True)
     write_report_csv(report, out, header=_resolved_header(cfg))
     print(f"m_recall={report.m_recall:.4f}")
     return 0
@@ -187,7 +186,6 @@ def cmd_svd(args) -> int:
             if checked.done():  # a check that has already failed ends the command before the SVD
                 checked.result()
             sem = trainer.semantics(text, tcfg.svd_k, tcfg.seed)
-    Path(args.out).mkdir(parents=True, exist_ok=True)
     out = Path(args.out) / "semantics.bin"
     export_semantics(sem, out)
     print(f"wrote {out} ({sem.B.shape[0]}x{sem.B.shape[1]})")
@@ -198,7 +196,6 @@ def cmd_gen(args) -> int:
     cfg = _load_config(args)
     ds = generate_synthetic(from_config(SyntheticSpec, cfg, seed=cfg["seed"]))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_dataset(ds, out / "captions.tsv", out / "features.txt")
     print(f"wrote {ds.n_images} images / {ds.n_captions} captions to {out}")
     return 0
@@ -252,7 +249,6 @@ def cmd_diag(args) -> int:
         logs.append((out.hard_neg_img.tolist(), out.hard_neg_desc.tolist()))
 
     stats = hard_negative_uniques(logs)
-    Path(args.out).mkdir(parents=True, exist_ok=True)
     path = Path(args.out) / "hard_negative_diagnostics.csv"
     write_diagnostics_csv(stats, path, header=_resolved_header(cfg))
     print(f"wrote {path}")

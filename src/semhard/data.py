@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 import struct
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -31,7 +32,6 @@ from .errors import (
     TruncatedFile,
     UncaptionedImage,
 )
-from .evaluation import RelevanceMap
 
 
 @dataclass
@@ -46,6 +46,8 @@ class Dataset:
     @cached_property
     def relevance(self) -> RelevanceMap:
         """Image <-> caption relevance, built from `caption_image` on first use."""
+        from .evaluation import RelevanceMap  # evaluation imports this module
+
         desc_to_img = self.caption_image.tolist()
         img_to_desc = [set() for _ in range(self.n_images)]
         for d, img in enumerate(desc_to_img):
@@ -70,21 +72,29 @@ def read_lines(path: str | Path) -> list[str]:
         raise MalformedLine(f"{path}:{line}: not UTF-8 ({exc.reason})") from None
 
 
-def write_matrices(path: str | Path, magic: bytes, version: int, mats: list[np.ndarray]) -> None:
-    """Write `mats` in the binary matrix format. The file is written beside
-    `path` and renamed over it, so a failed write keeps the old one."""
+@contextmanager
+def open_whole(path: str | Path, mode: str = "w"):
+    """Write `path` as a temp file beside it, made with its directory, renamed over it when the
+    block ends: a file is whole or absent. Text is UTF-8 with newlines as given; "wb" is bytes."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    shapes = [n for m in mats for n in m.shape]
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(magic + struct.pack(f"<I{len(shapes)}I", version, *shapes))
-            for m in mats:
-                fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
+        with open(tmp, mode, **({} if "b" in mode else {"encoding": "utf-8", "newline": ""})) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_matrices(path: str | Path, magic: bytes, version: int, mats: list[np.ndarray]) -> None:
+    """Write `mats` in the binary matrix format."""
+    shapes = [n for m in mats for n in m.shape]
+    with open_whole(path, "wb") as fh:
+        fh.write(magic + struct.pack(f"<I{len(shapes)}I", version, *shapes))
+        for m in mats:
+            fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
 
 
 def read_matrices(path: str | Path, magic: bytes, version: int, count: int) -> list[np.ndarray]:
@@ -207,11 +217,11 @@ def _load_features(path: str | Path) -> np.ndarray:
 def save_dataset(ds: Dataset, captions_path: str | Path, features_path: str | Path):
     """Write a dataset back out in the two-file format."""
     n_img, d_img = ds.features.shape
-    with open(features_path, "w", encoding="utf-8") as fh:
+    with open_whole(features_path) as fh:
         fh.write(f"{n_img} {d_img}\n")
         for row in ds.features:
             fh.write(" ".join(repr(float(x)) for x in row) + "\n")
-    with open(captions_path, "w", encoding="utf-8") as fh:
+    with open_whole(captions_path) as fh:
         for d, (img, text) in enumerate(zip(ds.caption_image.tolist(), ds.captions)):
             fh.write(f"d{d}\t{img}\t{text}\n")
 

@@ -31,7 +31,7 @@ class EmptySequence(SemhardError):
 
 
 class NonFiniteGradient(SemhardError):
-    """A gradient contained NaN or infinity."""
+    """A loss or gradient contained NaN or infinity: training diverged."""
 
 
 class MissingImageId(SemhardError):
@@ -64,7 +64,8 @@ class DuplicateDescriptionId(SemhardError):
 
 
 class EmptyDataset(SemhardError):
-    """The dataset holds no items, or a corpus has too few captions for TF-IDF."""
+    """The dataset holds no items, or a corpus has too few captions for TF-IDF
+    or too few terms for the SVD."""
 
 
 class BeforeFirstValidation(SemhardError):

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .data import open_whole
 from .errors import ShapeMismatch
 
 I2T = "i2t"
@@ -166,7 +167,7 @@ def hard_negative_uniques(
 
 def write_csv(path: str | Path, header: str, columns: Sequence[str], rows: Iterable) -> None:
     """A `# header` comment line when `header` is set, the column names, then `rows`."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_whole(path) as fh:
         if header:
             fh.write(f"# {header}\n")
         writer = csv.writer(fh)

@@ -20,8 +20,8 @@ import scipy.sparse as sp
 
 from . import encoder as enc
 from .data import Dataset, SyntheticSpec, minibatches, read_lines
-from .errors import (BadConfigValue, BeforeFirstValidation, EmptySequence, MalformedLine,
-                     UnknownConfigKey)
+from .errors import (BadConfigValue, BeforeFirstValidation, EmptyDataset, EmptySequence,
+                     MalformedLine, NonFiniteGradient, UnknownConfigKey)
 from .evaluation import retrieval_report, write_csv
 from .losses import (
     LossConfig,
@@ -109,7 +109,11 @@ def prepare_text(
 
 def semantics(text: PreparedText, k_ceiling: int, seed: int) -> ReducedSemantics:
     """The train split's semantics: the truncated SVD of its n x w TF-IDF
-    matrix at rank min(k_ceiling, min(n, w) - 1)."""
+    matrix at rank min(k_ceiling, min(n, w) - 1). A vocabulary of one term
+    leaves no rank and fails as EmptyDataset before the SVD."""
+    if text.vocab_size < 2:
+        raise EmptyDataset(f"the train split's vocabulary holds {text.vocab_size} term after"
+                           " preprocessing; the SVD needs at least 2")
     return truncated_svd(text.tfidf, min(k_ceiling, min(text.tfidf.shape) - 1), seed)
 
 
@@ -180,7 +184,6 @@ def train(
             f"the run would never validate: {cfg.epochs} epochs x {first_epoch_batches}"
             f" batches < validation_step={cfg.validation_step}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     text = prepare_text(train_ds.captions, val_ds.captions, pre_cfg)
     sem = semantics(text, cfg.svd_k, cfg.seed) if cfg.loss.variant == "lseh" else None
@@ -200,31 +203,44 @@ def train(
     batches_done = 0
     loss_acc: list[float] = []
 
-    for epoch in range(cfg.epochs):
-        lr = cfg.learning_rate / (10.0 if epoch >= cfg.lr_update_epoch else 1.0)
-        for batch in minibatches(train_ds.n_captions, cfg.batch_size, cfg.seed, epoch):
-            cache, out = batch_loss(params, train_ds, text.train, batch, cfg.loss, sem)
-            loss_acc.append(out.value)
-            if out.hard_neg_img is not None:
-                hard_neg_logs.append(
-                    (out.hard_neg_img.tolist(), out.hard_neg_desc.tolist())
-                )
+    # a diverging run would warn at every overflow; its first non-finite
+    # loss or gradient fails instead, as one error naming where
+    with np.errstate(all="ignore"):
+        try:
+            for epoch in range(cfg.epochs):
+                lr = cfg.learning_rate / (10.0 if epoch >= cfg.lr_update_epoch else 1.0)
+                for b, batch in enumerate(minibatches(train_ds.n_captions, cfg.batch_size,
+                                                      cfg.seed, epoch)):
+                    cache, out = batch_loss(params, train_ds, text.train, batch, cfg.loss, sem)
+                    if not np.isfinite(out.value):
+                        raise NonFiniteGradient(f"the loss is {out.value}")
+                    loss_acc.append(out.value)
+                    if out.hard_neg_img is not None:
+                        hard_neg_logs.append(
+                            (out.hard_neg_img.tolist(), out.hard_neg_desc.tolist())
+                        )
 
-            if lr > 0:
-                grads = enc.backward(params, cache, out.grad_S)
-                enc.sgd_step(params, grads, lr)
+                    if lr > 0:
+                        grads = enc.backward(params, cache, out.grad_S)
+                        enc.sgd_step(params, grads, lr)
 
-            batches_done += 1
-            if batches_done % cfg.validation_step == 0:
-                score = validate(params, val_ds, text.val)
-                epoch_fraction = batches_done / first_epoch_batches
-                loss_mean = float(np.mean(loss_acc))
-                loss_acc = []
-                records.append((epoch_fraction, score, loss_mean))
-                if score > best:
-                    best = score
-                    best_epoch = epoch_fraction
-                    best_params = params.copy()
+                    batches_done += 1
+                    if batches_done % cfg.validation_step == 0:
+                        score = validate(params, val_ds, text.val)
+                        epoch_fraction = batches_done / first_epoch_batches
+                        loss_mean = float(np.mean(loss_acc))
+                        if not np.isfinite(loss_mean):
+                            raise NonFiniteGradient("the mean loss since the last validation"
+                                                    f" is {loss_mean}")
+                        loss_acc = []
+                        records.append((epoch_fraction, score, loss_mean))
+                        if score > best:
+                            best = score
+                            best_epoch = epoch_fraction
+                            best_params = params.copy()
+        except NonFiniteGradient as exc:
+            raise NonFiniteGradient(f"training diverged at epoch {epoch}, batch {b},"
+                                    f" learning_rate={lr}: {exc}") from None
 
     suffix = f"_{tag}" if tag else ""
     checkpoint_path = out_dir / f"best{suffix}.ckpt"

@@ -611,6 +611,68 @@ class TestErrorPaths:
         assert not out.exists()
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("command, writer", [
+        (["train"], "semhard.encoder.save_checkpoint"),
+        (["compare"], "semhard.encoder.save_checkpoint"),
+        (["svd"], "semhard.cli.export_semantics"),
+        (["gen"], "semhard.cli.save_dataset"),
+        (["eval", "--checkpoint"], "semhard.cli.write_report_csv"),
+        (["diag", "--checkpoint"], "semhard.cli.write_diagnostics_csv"),
+    ], ids=["train", "compare", "svd", "gen", "eval", "diag"])
+    def test_failure_before_the_first_write_leaves_no_out(
+        self, tmp_path, capsys, monkeypatch, command, writer
+    ):
+        # only a write makes --out: a command that fails at its first write leaves none
+        if command[-1] == "--checkpoint":
+            run(["train", "--out", str(tmp_path / "run"), *TINY], capsys)
+            command = [*command, str(tmp_path / "run" / "best.ckpt")]
+
+        def full_disk(*args, **kwargs):
+            raise SemhardError("the disk is full")
+
+        monkeypatch.setattr(writer, full_disk)
+        out = tmp_path / "o"
+        code, stdout, err = run([*command, "--out", str(out), *TINY], capsys)
+        assert (code, stdout, err) == (1, "", "error: the disk is full\n")
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("command, shown", [
+        (["train", "--set", "learning_rate=1e200"],
+         "batch 1, learning_rate=1e+200: the loss is nan"),
+        (["train", "--set", "loss.variant=lmh", "--set", "loss.alpha=1e308"],
+         "batch 0, learning_rate=0.2: the loss is inf"),
+        # finite batch losses, but their mean over a validation window of two overflows
+        (["train", "--set", "loss.variant=lmh", "--set", "loss.alpha=1.5e307"],
+         "batch 1, learning_rate=0.2: the mean loss since the last validation is inf"),
+        (["compare", "--set", "learning_rate=1e200"],
+         "batch 1, learning_rate=1e+200: the loss is nan"),
+    ], ids=["train-lr", "train-lmh-alpha", "train-lmh-window-mean", "compare-lr"])
+    def test_diverging_run_is_one_error_line(self, tmp_path, capsys, command, shown):
+        # NumPy's overflow warnings used to come first, and an infinite lmh
+        # loss used to train on and write `inf` rows
+        out = tmp_path / "o"
+        code, stdout, err = run([*command, "--out", str(out), *TINY], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: training diverged at epoch 0, {shown}\n"
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("command", [["svd"], ["train", "--set", "validation_step=1"]],
+                             ids=["svd", "train-lseh"])
+    def test_one_term_vocabulary_names_its_size(self, tmp_path, capsys, monkeypatch, command):
+        data = write_corpus(tmp_path, ["kite", "kites", "kite", "kites"])  # all stem to `kite`
+        svd_calls = []
+        monkeypatch.setattr(semhard.trainer, "truncated_svd", lambda *a: svd_calls.append(a))
+        out = tmp_path / "o"
+        code, stdout, err = run([command[0], "--out", str(out), *TINY, *command[1:], *data],
+                                capsys)
+        assert (code, stdout, svd_calls) == (1, "", [])
+        assert err == ("error: the train split's vocabulary holds 1 term after preprocessing;"
+                       " the SVD needs at least 2\n")
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("command", ["train", "gen", "svd"])
     @pytest.mark.parametrize("source", ["file", "--set", "--seed"])
     def test_negative_seed_names_key_and_source(self, tmp_path, capsys, command, source):

@@ -1,8 +1,12 @@
+import ast
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semhard.data
 from semhard.data import (
     Dataset,
     SyntheticSpec,
@@ -20,6 +24,7 @@ from semhard.errors import (
     TruncatedFile,
     UncaptionedImage,
 )
+from semhard.evaluation import write_csv
 from semhard.losses import semantic_factor_matrix
 from semhard.textsem import PreprocessConfig, build_tfidf, preprocess, truncated_svd
 
@@ -292,3 +297,101 @@ class TestMinibatches:
     def test_batch_size_validated(self):
         with pytest.raises(ValueError):
             minibatches(10, 1, seed=0, epoch=0)
+
+
+def write_table(out):
+    write_csv(out / "table.csv", "cfg", ["i", "square"], ([i, i * i] for i in range(20)))
+
+
+def write_corpus(out):
+    save_dataset(generate_synthetic(SyntheticSpec(2, 2, 2)), out / "captions.tsv",
+                 out / "features.txt")
+
+
+# a text writer of each kind and the files it writes into its directory
+TEXT_OUTPUTS = pytest.mark.parametrize("write,files", [
+    (write_table, ["table.csv"]), (write_corpus, ["captions.tsv", "features.txt"]),
+], ids=["csv", "dataset"])
+
+
+class TestOpenWhole:
+    @TEXT_OUTPUTS
+    def test_writes_whole_files_and_their_directory(self, tmp_path, write, files):
+        out = tmp_path / "a" / "b"
+        write(out)
+        assert sorted(os.listdir(out)) == sorted(files)
+
+    @TEXT_OUTPUTS
+    @pytest.mark.parametrize("before", [None, "an earlier run's file\n"], ids=["new", "existing"])
+    def test_failed_write_leaves_the_old_file_or_none(
+        self, tmp_path, monkeypatch, write, files, before
+    ):
+        out = tmp_path / "out"
+        if before:
+            out.mkdir()
+            for name in files:
+                (out / name).write_text(before)
+
+        class FailingFile:
+            """Writes the first chunk, then fails like a full disk."""
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError("no space left on device")
+                return self.fh.write(text)
+
+        monkeypatch.setattr(semhard.data, "open",
+                            lambda p, mode, **text: FailingFile(open(p, mode, **text)),
+                            raising=False)
+        with pytest.raises(OSError, match="no space"):
+            write(out)
+        kept = sorted(files) if before else []
+        assert sorted(os.listdir(out)) == kept  # no temporary file either
+        assert all((out / name).read_text() == before for name in kept)
+
+
+# calls that create a directory or write a file, by name
+WRITES = {"mkdir", "makedirs", "write_text", "write_bytes", "touch"}
+
+
+def writes(call: ast.Call) -> bool:
+    """Whether `call` creates a directory or may open a file for writing: an
+    `open` whose mode is anything but a read-only string literal."""
+    name = getattr(call.func, "attr", getattr(call.func, "id", None))
+    if name != "open":
+        return name in WRITES
+    # the mode follows the path of open(), and comes first in Path.open()
+    modes = [*call.args[isinstance(call.func, ast.Name):],
+             *(k.value for k in call.keywords if k.arg == "mode")]
+    return not all(isinstance(m, ast.Constant) and isinstance(m.value, str)
+                   and set(m.value).isdisjoint("wax+") for m in modes)
+
+
+@pytest.mark.parametrize("source,expected", [
+    ('open(p, "w")', True), ('open(p, mode="ab")', True), ("open(p, mode)", True),
+    ('open(p, "r+")', True), ('Path(p).open("w")', True), ("Path(p).mkdir()", True),
+    ("os.makedirs(p)", True), ("p.write_bytes(b)", True), ("open(p)", False),
+    ('open(p, "r", encoding=e)', False), ('p.open("r")', False), ("p.read_text()", False),
+])
+def test_write_detector(source, expected):
+    assert writes(ast.parse(source).body[0].value) is expected
+
+
+def test_only_open_whole_writes():
+    # every output goes through one writer, so the whole-file policy cannot drift
+    sites = {
+        (path.name, getattr(top, "name", None))
+        for path in Path(semhard.data.__file__).parent.glob("*.py")
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top) if isinstance(node, ast.Call) and writes(node)
+    }
+    assert sites == {("data.py", "open_whole")}

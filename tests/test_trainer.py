@@ -8,8 +8,8 @@ import pytest
 import semhard.trainer
 from semhard import encoder as enc
 from semhard.data import Dataset, SyntheticSpec, generate_synthetic, split_dataset
-from semhard.errors import (BadConfigValue, BeforeFirstValidation, EmptySequence, MalformedLine,
-                            UnknownConfigKey)
+from semhard.errors import (BadConfigValue, BeforeFirstValidation, EmptyDataset, EmptySequence,
+                            MalformedLine, UnknownConfigKey)
 from semhard.evaluation import retrieval_report
 from semhard.losses import LossConfig
 from semhard.textsem import PreprocessConfig
@@ -185,6 +185,14 @@ class TestPrepareText:
         text = prepare_text(self.CAPTIONS, [], PreprocessConfig())
         assert semhard.trainer.semantics(text, k_ceiling, 0).B.shape == (3, 2)
         assert svd_calls == [2]
+
+    def test_one_term_vocabulary_fails_before_the_svd(self, svd_calls):
+        # min(n, w) - 1 would ask the SVD for rank 0
+        text = prepare_text(["kite", "kites"], [], PreprocessConfig())
+        assert text.vocab_size == 1
+        with pytest.raises(EmptyDataset, match="vocabulary holds 1 term"):
+            semhard.trainer.semantics(text, 400, 0)
+        assert svd_calls == []
 
     @pytest.mark.parametrize("train_extra,val,message", EMPTY_CAPTION_CASES)
     def test_empty_caption_fails_before_the_svd(self, svd_calls, train_extra, val, message):
