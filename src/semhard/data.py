@@ -15,9 +15,10 @@ from __future__ import annotations
 import os
 import struct
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -75,8 +76,10 @@ def read_lines(path: str | Path) -> list[str]:
 @contextmanager
 def open_whole(path: str | Path, mode: str = "w"):
     """Write `path` as a temp file beside it, made with its directory, renamed over it when the
-    block ends: a file is whole or absent. Text is UTF-8 with newlines as given; "wb" is bytes."""
+    block ends: a file is whole or absent, and a failed write removes the directories it made.
+    Text is UTF-8 with newlines as given; "wb" is bytes."""
     path = Path(path)
+    made = list(takewhile(lambda d: not d.exists(), path.parents))  # deepest first
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -85,6 +88,9 @@ def open_whole(path: str | Path, mode: str = "w"):
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
+        with suppress(OSError):  # a file another writer put there keeps its directory
+            for d in made:
+                d.rmdir()
         raise
 
 

@@ -32,14 +32,32 @@ class ModelParams:
 
 
 @dataclass
+class Gradients:
+    """Parameter gradients. The word gradient is row-sparse: a batch
+    touches only the rows of its own tokens."""
+    W_img: np.ndarray
+    word_ids: np.ndarray   # the batch's distinct token ids, ascending
+    word_rows: np.ndarray  # len(word_ids) x d_word, the gradient of those E_word rows
+    W_txt: np.ndarray
+    vocab_size: int
+
+    @property
+    def E_word(self) -> np.ndarray:
+        """The dense vocab_size x d_word word gradient, built on demand."""
+        g = np.zeros((self.vocab_size, self.word_rows.shape[1]))
+        g[self.word_ids] = self.word_rows
+        return g
+
+
+@dataclass
 class ForwardCache:
-    """Pre-normalization activations kept for the backward pass."""
+    """Activations kept for the backward pass."""
     X: np.ndarray               # b x d_img input features
-    img_pre: np.ndarray         # b x d_emb, X @ W_img
+    img_norms: np.ndarray       # b row norms of X @ W_img
     V: np.ndarray               # normalized image embeddings
     tokens: TokenLayout         # the batch's token ids
     means: np.ndarray           # b x d_word mean word embeddings
-    txt_pre: np.ndarray         # b x d_emb, means @ W_txt
+    txt_norms: np.ndarray       # b row norms of means @ W_txt
     U: np.ndarray               # normalized text embeddings
 
 
@@ -60,11 +78,12 @@ def init_params(
     )
 
 
-def _normalize_rows(pre: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(pre, axis=1)
-    if np.any(norms == 0):
+def _unit_rows(pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `pre` scaled to unit length, and their norms."""
+    norms = np.sqrt(np.add.reduce(pre * pre, axis=1))  # np.linalg.norm's sum, undispatched
+    if (norms == 0).any():
         raise ZeroNormEmbedding("a projection produced the zero vector")
-    return pre / norms[:, np.newaxis]
+    return pre / norms[:, np.newaxis], norms
 
 
 def _features(params: ModelParams, X: np.ndarray) -> np.ndarray:
@@ -76,7 +95,7 @@ def _features(params: ModelParams, X: np.ndarray) -> np.ndarray:
 
 def encode_images(params: ModelParams, X: np.ndarray) -> np.ndarray:
     """Row-normalized X @ W_img."""
-    return _normalize_rows(_features(params, X) @ params.W_img)
+    return _unit_rows(_features(params, X) @ params.W_img)[0]
 
 
 @dataclass(frozen=True)
@@ -126,7 +145,7 @@ def _mean_embeddings(params: ModelParams, layout: TokenLayout) -> np.ndarray:
 
 def encode_texts(params: ModelParams, tokens: TokenLayout | list[list[int]]) -> np.ndarray:
     """Row-normalized (mean word embedding) @ W_txt, from id lists or their layout."""
-    return _normalize_rows(_mean_embeddings(params, _layout(tokens)) @ params.W_txt)
+    return _unit_rows(_mean_embeddings(params, _layout(tokens)) @ params.W_txt)[0]
 
 
 def forward(
@@ -136,37 +155,25 @@ def forward(
     X = _features(params, X)
     if X.shape[0] != len(tokens):
         raise ShapeMismatch("batch sizes of images and texts disagree")
-    img_pre = X @ params.W_img
+    V, img_norms = _unit_rows(X @ params.W_img)
     layout = _layout(tokens)
     means = _mean_embeddings(params, layout)
-    txt_pre = means @ params.W_txt
-    return ForwardCache(
-        X=X,
-        img_pre=img_pre,
-        V=_normalize_rows(img_pre),
-        tokens=layout,
-        means=means,
-        txt_pre=txt_pre,
-        U=_normalize_rows(txt_pre),
-    )
+    U, txt_norms = _unit_rows(means @ params.W_txt)
+    return ForwardCache(X, img_norms, V, layout, means, txt_norms, U)
 
 
 def similarity_matrix(cache: ForwardCache) -> np.ndarray:
     return cache.V @ cache.U.T
 
 
-def _grad_through_normalize(pre: np.ndarray, out: np.ndarray, g_out: np.ndarray):
+def _grad_through_normalize(norms: np.ndarray, out: np.ndarray, g_out: np.ndarray):
     # y = x / ||x||  =>  dL/dx = (g - y * (y . g)) / ||x||
-    norms = np.linalg.norm(pre, axis=1, keepdims=True)
-    return (g_out - out * np.sum(out * g_out, axis=1, keepdims=True)) / norms
+    return (g_out - out * (out * g_out).sum(axis=1, keepdims=True)) / norms[:, np.newaxis]
 
 
-def backward(params: ModelParams, cache: ForwardCache, grad_S: np.ndarray) -> ModelParams:
-    """Exact gradients of a loss through S = V @ U.T down to the parameters,
-    one per parameter matrix.
-
-    Only E_word rows of tokens present in the batch receive gradient.
-    """
+def backward(params: ModelParams, cache: ForwardCache, grad_S: np.ndarray) -> Gradients:
+    """Exact gradients of a loss through S = V @ U.T down to the parameters.
+    Only E_word rows of tokens present in the batch receive gradient."""
     b = cache.V.shape[0]
     grad_S = np.asarray(grad_S, dtype=np.float64)
     if grad_S.shape != (b, b):
@@ -174,29 +181,33 @@ def backward(params: ModelParams, cache: ForwardCache, grad_S: np.ndarray) -> Mo
 
     g_V = grad_S @ cache.U
     g_U = grad_S.T @ cache.V
-    g_img_pre = _grad_through_normalize(cache.img_pre, cache.V, g_V)
-    g_txt_pre = _grad_through_normalize(cache.txt_pre, cache.U, g_U)
+    g_img_pre = _grad_through_normalize(cache.img_norms, cache.V, g_V)
+    g_txt_pre = _grad_through_normalize(cache.txt_norms, cache.U, g_U)
 
     g_W_img = cache.X.T @ g_img_pre
     g_W_txt = cache.means.T @ g_txt_pre
     g_means = g_txt_pre @ params.W_txt.T
 
-    g_E = np.zeros_like(params.E_word)
     lengths = cache.tokens.lengths
     contrib = np.repeat(g_means / lengths[:, np.newaxis], lengths, axis=0)
-    np.add.at(g_E, cache.tokens.ids, contrib)  # caption-major: rows sum in per-caption order
-    return ModelParams(W_img=g_W_img, E_word=g_E, W_txt=g_W_txt)
+    tokens = cache.tokens.ids
+    ids = np.unique(tokens)
+    d = contrib.shape[1]
+    # bincount adds in input order from 0.0, so rows sum in per-caption order
+    flat = (np.searchsorted(ids, tokens)[:, np.newaxis] * d + np.arange(d)).ravel()
+    rows = np.bincount(flat, contrib.ravel(), len(ids) * d).reshape(len(ids), d)
+    return Gradients(g_W_img, ids, rows, g_W_txt, params.E_word.shape[0])
 
 
-def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> None:
-    """In-place p <- p - lr * g."""
+def sgd_step(params: ModelParams, grads: Gradients, learning_rate: float) -> None:
+    """In-place p <- p - lr * g, on E_word only over the rows the gradient touches."""
     if learning_rate <= 0:
         raise ValueError("learning_rate must be > 0")
-    pairs = [(params.W_img, grads.W_img), (params.E_word, grads.E_word), (params.W_txt, grads.W_txt)]
-    if not all(np.all(np.isfinite(g)) for _, g in pairs):
+    if not all(np.isfinite(g).all() for g in (grads.W_img, grads.word_rows, grads.W_txt)):
         raise NonFiniteGradient("gradient contains NaN or inf")
-    for p, g in pairs:
-        p -= learning_rate * g
+    params.W_img -= learning_rate * grads.W_img
+    params.E_word[grads.word_ids] -= learning_rate * grads.word_rows
+    params.W_txt -= learning_rate * grads.W_txt
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:

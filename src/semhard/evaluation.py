@@ -73,8 +73,13 @@ class HardNegStats:
 def _ranks(scores: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Rank of candidate target[q] in each row q: by descending score, ties to the lower index."""
     t = scores[np.arange(len(target)), target][:, np.newaxis]
-    before = np.arange(scores.shape[1]) < target[:, np.newaxis]
-    return np.count_nonzero((scores > t) | ((scores == t) & before), axis=1)
+    ranks = np.count_nonzero(scores > t, axis=1)
+    equal = scores == t
+    if np.count_nonzero(equal) > np.count_nonzero(t == t):  # a target's score recurs (NaN != NaN)
+        tied = np.flatnonzero(np.count_nonzero(equal, axis=1) > 1)
+        before = np.arange(scores.shape[1]) < target[tied, np.newaxis]
+        ranks[tied] += np.count_nonzero(equal[tied] & before, axis=1)
+    return ranks
 
 
 def _direction_ranks(sim: np.ndarray, relevance: RelevanceMap, direction: str) -> np.ndarray:

@@ -152,10 +152,14 @@ def validate(
     val_ds: Dataset,
     val_tokens: enc.TokenLayout,
 ) -> float:
-    """Encode the full validation set and return its mean-recall score."""
+    """Encode the full validation set and return its mean-recall score. Diverged
+    weights, whose similarities hold NaN or inf, fail as NonFiniteGradient."""
     V = enc.encode_images(params, val_ds.features)
     U = enc.encode_texts(params, val_tokens)
-    return retrieval_report(V @ U.T, val_ds.relevance).m_recall
+    sim = V @ U.T
+    if not np.isfinite(sim).all():
+        raise NonFiniteGradient("the validation similarities hold NaN or inf")
+    return retrieval_report(sim, val_ds.relevance).m_recall
 
 
 def check_val_split(val_ds: Dataset) -> None:

@@ -658,6 +658,19 @@ class TestErrorPaths:
         assert not out.exists()
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("lr", ["1e306", "1e308"])
+    def test_diverged_weights_fail_their_validation(self, tmp_path, capsys, lr):
+        # one step of 32 has finite gradients but leaves NaN or inf weights, whose NaN
+        # similarities used to rank every target first: recall 100 and an inf checkpoint
+        out = tmp_path / "o"
+        overrides = ["batch_size=32", "validation_step=1", f"learning_rate={lr}"]
+        code, stdout, err = run(["train", "--out", str(out), *TINY,
+                                 *(a for o in overrides for a in ("--set", o))], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == (f"error: training diverged at epoch 0, batch 0, learning_rate={float(lr)}:"
+                       " the validation similarities hold NaN or inf\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["svd"], ["train", "--set", "validation_step=1"]],
                              ids=["svd", "train-lseh"])
     def test_one_term_vocabulary_names_its_size(self, tmp_path, capsys, monkeypatch, command):

@@ -326,9 +326,9 @@ class TestOpenWhole:
     def test_failed_write_leaves_the_old_file_or_none(
         self, tmp_path, monkeypatch, write, files, before
     ):
-        out = tmp_path / "out"
+        out = tmp_path / "a" / "out"
         if before:
-            out.mkdir()
+            out.mkdir(parents=True)
             for name in files:
                 (out / name).write_text(before)
 
@@ -354,9 +354,11 @@ class TestOpenWhole:
                             raising=False)
         with pytest.raises(OSError, match="no space"):
             write(out)
-        kept = sorted(files) if before else []
-        assert sorted(os.listdir(out)) == kept  # no temporary file either
-        assert all((out / name).read_text() == before for name in kept)
+        if not before:  # nor the directories the failed write made, and only those
+            assert os.listdir(tmp_path) == []
+            return
+        assert sorted(os.listdir(out)) == sorted(files)  # no temporary file either
+        assert all((out / name).read_text() == before for name in files)
 
 
 # calls that create a directory or write a file, by name

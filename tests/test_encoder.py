@@ -179,7 +179,7 @@ class TestTokenLayout:
             for layout, lists in layouts(rng, seqs):
                 cache = enc.forward(params, X, layout)
                 g_U = grad_S.T @ cache.V
-                g_txt_pre = enc._grad_through_normalize(cache.txt_pre, cache.U, g_U)
+                g_txt_pre = enc._grad_through_normalize(cache.txt_norms, cache.U, g_U)
                 g_means = g_txt_pre @ params.W_txt.T
                 grads = enc.backward(params, cache, grad_S)
                 assert np.array_equal(grads.E_word, loop_word_grad(params, lists, g_means))
@@ -260,47 +260,86 @@ class TestBackward:
                 assert abs(fd - g[idx]) / max(abs(g[idx]), 1.0) <= 1e-5
 
 
+def word_grads(params, W_img, W_txt, word_ids=(), word_rows=None):
+    """A gradient for `params` whose word rows are zero unless given."""
+    vocab, d_word = params.E_word.shape
+    word_ids = np.asarray(word_ids, dtype=np.int64)
+    if word_rows is None:
+        word_rows = np.zeros((len(word_ids), d_word))
+    return enc.Gradients(W_img, word_ids, word_rows, W_txt, vocab)
+
+
 class TestSgdStep:
     def test_zero_gradient_keeps_params(self):
         params = make_params()
         before = params.copy()
-        grads = enc.ModelParams(
-            np.zeros_like(params.W_img),
-            np.zeros_like(params.E_word),
-            np.zeros_like(params.W_txt),
+        grads = word_grads(
+            params, np.zeros_like(params.W_img), np.zeros_like(params.W_txt), [0, 3, 6]
         )
         enc.sgd_step(params, grads, 0.0008)
         assert np.array_equal(params.W_img, before.W_img)
+        assert np.array_equal(params.E_word, before.E_word)
+        assert np.array_equal(params.W_txt, before.W_txt)
 
     def test_scalar_arithmetic(self):
         params = enc.ModelParams(
             W_img=np.array([[1.0]]), E_word=np.array([[1.0]]), W_txt=np.array([[1.0]])
         )
-        grads = enc.ModelParams(
-            np.array([[2.0]]), np.array([[0.0]]), np.array([[0.0]])
-        )
+        grads = word_grads(params, np.array([[2.0]]), np.array([[0.0]]), [0], np.array([[0.0]]))
         enc.sgd_step(params, grads, 0.1)
         assert params.W_img[0, 0] == pytest.approx(0.8)
 
     def test_non_finite_gradient_rejected(self):
         params = make_params()
-        grads = enc.ModelParams(
-            np.full_like(params.W_img, np.nan),
-            np.zeros_like(params.E_word),
-            np.zeros_like(params.W_txt),
+        grads = word_grads(
+            params, np.full_like(params.W_img, np.nan), np.zeros_like(params.W_txt), [1, 2]
         )
         with pytest.raises(NonFiniteGradient):
             enc.sgd_step(params, grads, 0.1)
 
+    def test_non_finite_word_rows_rejected_before_any_update(self):
+        params = make_params()
+        rows = np.zeros((2, params.E_word.shape[1]))
+        rows[1, 0] = np.inf
+        grads = word_grads(
+            params, np.ones_like(params.W_img), np.zeros_like(params.W_txt), [1, 2], rows
+        )
+        before = params.copy()
+        with pytest.raises(NonFiniteGradient):
+            enc.sgd_step(params, grads, 0.1)
+        assert np.array_equal(params.W_img, before.W_img)
+        assert np.array_equal(params.E_word, before.E_word)
+
     def test_rejects_nonpositive_lr(self):
         params = make_params()
-        grads = enc.ModelParams(
-            np.zeros_like(params.W_img),
-            np.zeros_like(params.E_word),
-            np.zeros_like(params.W_txt),
-        )
+        grads = word_grads(params, np.zeros_like(params.W_img), np.zeros_like(params.W_txt))
         with pytest.raises(ValueError):
             enc.sgd_step(params, grads, 0.0)
+
+    def test_row_sparse_step_bit_identical_to_dense(self):
+        # the step on the touched rows leaves the params as p -= lr * g over the
+        # whole dense gradient; rows no caption names keep their bits
+        rng = np.random.default_rng(24)
+        for trial in range(20):
+            params = make_params(vocab=40, seed=trial)
+            seqs = repeated_token_seqs(rng, int(rng.integers(1, 12)), 30)
+            X = rng.standard_normal((len(seqs), 5))
+            grads = enc.backward(params, enc.forward(params, X, seqs),
+                                 rng.standard_normal((len(seqs), len(seqs))))
+            g_dense = grads.E_word
+            assert np.array_equal(grads.word_ids, np.unique([t for seq in seqs for t in seq]))
+            lr = float(rng.uniform(1e-4, 1.0))
+            dense = params.copy()
+            for p, g in ((dense.W_img, grads.W_img), (dense.E_word, g_dense),
+                         (dense.W_txt, grads.W_txt)):
+                p -= lr * g
+            before = params.copy()
+            enc.sgd_step(params, grads, lr)
+            for name in ("W_img", "E_word", "W_txt"):
+                assert np.array_equal(getattr(params, name), getattr(dense, name))
+            untouched = np.setdiff1d(np.arange(40), grads.word_ids)
+            assert len(untouched) >= 10
+            assert params.E_word[untouched].tobytes() == before.E_word[untouched].tobytes()
 
 
 class TestCheckpoint:

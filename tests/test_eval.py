@@ -6,6 +6,7 @@ from semhard.evaluation import (
     HardNegStats,
     RelevanceMap,
     RetrievalReport,
+    _ranks,
     efficiency_difference,
     epochs_to_threshold,
     hard_negative_uniques,
@@ -133,6 +134,50 @@ class TestRecallAtK:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             recall_at_k(np.zeros((3, 3)), one_to_one_relevance(4), 1, "i2t")
+
+
+def with_some_tied_rows(rng, scores, target):
+    """`scores` with the target's score copied into other columns, before and
+    after it, of about a third of the rows; the other rows hold no tie."""
+    scores = scores.copy()
+    for q in np.flatnonzero(rng.random(len(target)) < 0.35):
+        n_c = scores.shape[1]
+        cols = rng.choice(n_c, size=int(rng.integers(1, n_c + 1)), replace=False)
+        scores[q, cols] = scores[q, target[q]]
+    return scores
+
+
+class TestRanks:
+    def test_some_tied_rows_equal_the_sort_oracle(self):
+        rng = np.random.default_rng(6)
+        for _ in range(60):
+            n_q, n_c = int(rng.integers(1, 20)), int(rng.integers(2, 20))
+            target = rng.integers(0, n_c, size=n_q)
+            scores = with_some_tied_rows(rng, rng.standard_normal((n_q, n_c)), target)
+            oracle = [sorted(range(n_c), key=lambda j: (-row[j], j)).index(t)
+                      for row, t in zip(scores, target)]
+            assert _ranks(scores, target).tolist() == oracle
+
+    def test_a_nan_target_hides_no_other_rows_tie(self):
+        # row 0's NaN target equals nothing, so it must not offset row 1's extra equal score
+        scores = np.array([[0.5, np.nan, 0.1], [0.3, 0.2, 0.3]])
+        assert _ranks(scores, np.array([1, 2])).tolist() == [0, 1]
+
+    def test_recall_with_some_tied_rows_equals_the_brute_force_oracle(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            n_img = int(rng.integers(1, 16))
+            rel = shuffled_uneven_relevance(rng, n_img)
+            n_desc = len(rel.desc_to_img)
+            sim = rng.standard_normal((n_img, n_desc))
+            first = np.array([min(r) for r in rel.img_to_desc])
+            sim = with_some_tied_rows(rng, sim, first)  # ties on a relevant caption's score
+            sim = with_some_tied_rows(rng, sim.T, rel.desc_img).T  # and on a caption's image
+            for k in (1, 2, 5, 10):
+                for direction in ("i2t", "t2i"):
+                    assert recall_at_k(sim, rel, k, direction) == brute_force_recall(
+                        sim, rel, k, direction
+                    )
 
 
 class TestRetrievalReport:
