@@ -12,6 +12,8 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 from . import encoder as enc
 from . import trainer
 from .data import (
@@ -24,7 +26,7 @@ from .data import (
     save_dataset,
     split_dataset,
 )
-from .errors import SemhardError, ShapeMismatch
+from .errors import BadCheckpoint, SemhardError, ShapeMismatch
 from .evaluation import (
     efficiency_difference,
     epochs_to_threshold,
@@ -130,6 +132,19 @@ def _checkpoint_text(checkpoint, cfg, train_ds, val_captions):
     return params, text
 
 
+@contextmanager
+def _no_overflow(checkpoint):
+    """Fail as one error naming `checkpoint` when its finite weights overflow
+    the arithmetic of the `with` body, which would otherwise warn and score
+    every embedding as the zero vector."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise BadCheckpoint(f"{checkpoint}: its weights overflow on this config's data"
+                            f" ({exc})") from None
+
+
 def _run_one_training(cfg, out_dir, split, variant=None):
     """Train on the (train, val) `split`; a `variant` also tags the output files."""
     train_ds, val_ds = split
@@ -159,8 +174,9 @@ def cmd_eval(args) -> int:
     train_ds, val_ds = _load_or_generate(cfg)
     trainer.check_val_split(val_ds)
     params, text = _checkpoint_text(args.checkpoint, cfg, train_ds, val_ds.captions)
-    V = enc.encode_images(params, val_ds.features)
-    U = enc.encode_texts(params, text.val)
+    with _no_overflow(args.checkpoint):
+        V = enc.encode_images(params, val_ds.features)
+        U = enc.encode_texts(params, text.val)
     report = retrieval_report(V @ U.T, val_ds.relevance)
     out = Path(args.out) / "retrieval_report.csv"
     write_report_csv(report, out, header=_resolved_header(cfg))
@@ -201,32 +217,37 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _lmh_best(cfg, out_dir, split) -> tuple[float, float]:
+    """`compare`'s lmh run, in its worker: only the best score and its epoch
+    are sent back, not the whole report."""
+    report = _run_one_training(cfg, out_dir, split, "lmh")
+    return report.best_m_recall, report.best_epoch
+
+
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
     split = _load_or_generate(cfg)
     out_dir = Path(args.out)
     # lmh trains in a worker while this process trains lseh; lmh's error
     # wins over lseh's, as when lmh ran first
-    with _in_worker("the lmh run's", _run_one_training, cfg, out_dir, split, "lmh") as lmh_run:
+    with _in_worker("the lmh run's", _lmh_best, cfg, out_dir, split) as lmh_run:
         lseh_report = _run_one_training(cfg, out_dir, split, variant="lseh")
-    lmh_report = lmh_run.result()
+    lmh_best, lmh_epoch = lmh_run.result()
 
-    threshold = lmh_report.best_m_recall
     crossing = epochs_to_threshold(
-        [(f, s) for f, s, _ in lseh_report.records], threshold
+        [(f, s) for f, s, _ in lseh_report.records], lmh_best
     )
     if crossing is None:
         difference = ""
         crossing_str = ""
     else:
-        difference = f"{efficiency_difference(crossing, lmh_report.best_epoch):.4f}"
+        difference = f"{efficiency_difference(crossing, lmh_epoch):.4f}"
         crossing_str = f"{crossing:.6f}"
 
     path = out_dir / "comparison.csv"
     columns = ["loss", "best_m_recall", "best_epoch", "epochs_to_lmh_best", "difference_pct"]
     rows = [
-        ["lmh", f"{lmh_report.best_m_recall:.6f}", f"{lmh_report.best_epoch:.6f}",
-         f"{lmh_report.best_epoch:.6f}", "0.0000"],
+        ["lmh", f"{lmh_best:.6f}", f"{lmh_epoch:.6f}", f"{lmh_epoch:.6f}", "0.0000"],
         ["lseh", f"{lseh_report.best_m_recall:.6f}", f"{lseh_report.best_epoch:.6f}",
          crossing_str, difference],
     ]
@@ -244,9 +265,10 @@ def cmd_diag(args) -> int:
     params, text = _checkpoint_text(args.checkpoint, cfg, train_ds, [])
     sem = trainer.semantics(text, tcfg.svd_k, tcfg.seed) if tcfg.loss.variant == "lseh" else None
     logs = []
-    for batch in minibatches(train_ds.n_captions, tcfg.batch_size, tcfg.seed, 0):
-        _, out = trainer.batch_loss(params, train_ds, text.train, batch, tcfg.loss, sem)
-        logs.append((out.hard_neg_img.tolist(), out.hard_neg_desc.tolist()))
+    with _no_overflow(args.checkpoint):
+        for batch in minibatches(train_ds.n_captions, tcfg.batch_size, tcfg.seed, 0):
+            _, out = trainer.batch_loss(params, train_ds, text.train, batch, tcfg.loss, sem)
+            logs.append((out.hard_neg_img.tolist(), out.hard_neg_desc.tolist()))
 
     stats = hard_negative_uniques(logs)
     path = Path(args.out) / "hard_negative_diagnostics.csv"

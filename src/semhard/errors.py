@@ -52,7 +52,8 @@ class TruncatedFile(SemhardError):
 
 class BadCheckpoint(SemhardError, ValueError):
     """A binary matrix file (a checkpoint or a semantics export) has the wrong
-    magic, an unsupported version, extra bytes, NaN or inf, or unfit shapes."""
+    magic, an unsupported version, extra bytes, NaN or inf, or unfit shapes,
+    or a checkpoint's weights overflow when they encode the data."""
 
 
 class MalformedLine(SemhardError):

@@ -10,16 +10,20 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import read_matrices, write_matrices
 from .errors import AllDocumentsEmpty, BadCheckpoint, ConvergenceFailure, EmptyDataset, KTooLarge
 from .stemming import stem
 from .stopwords import DEFAULT_STOPWORDS
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _TOKEN_RE = re.compile(r"[a-z]+")
 
@@ -51,8 +55,23 @@ class PreprocessConfig:
 
 @dataclass
 class TermDocMatrix:
-    matrix: sp.csr_matrix     # n_docs x n_terms, TF-IDF weights
+    shape: tuple[int, int]    # n_docs x n_terms
     columns: list[list[int]]  # each document's tokens as matrix columns, in order
+    lengths: np.ndarray       # each document's token count
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The TF-IDF weights, built on first access."""
+        # imported here: `import scipy.sparse` costs about 0.17 s, and only an SVD reads this
+        import scipy.sparse as sp
+
+        n, w = self.shape
+        cols = np.fromiter(chain.from_iterable(self.columns), np.int64, self.lengths.sum())
+        rows = np.repeat(np.arange(n), self.lengths)
+        tf = sp.csr_matrix((np.ones(cols.size), (rows, cols)), shape=(n, w))
+        tf.sum_duplicates()
+        df = np.bincount(tf.indices, minlength=w)
+        return tf.multiply(np.log(n / df)[np.newaxis, :]).tocsr()
 
 
 @dataclass
@@ -80,8 +99,8 @@ def preprocess(text: str, cfg: PreprocessConfig = PreprocessConfig()) -> list[st
 
 
 def build_tfidf(docs: list[list[str]]) -> tuple[dict[str, int], TermDocMatrix]:
-    """Build the sparse TF-IDF matrix: raw count x ln(n/df), no normalization,
-    its term -> column map, and each document's tokens as columns.
+    """The term -> column map and the TF-IDF term-document matrix: raw count
+    x ln(n/df), no normalization, whose sparse form is built only when read.
 
     This is the one place the sorted term vocabulary is built. Raises
     EmptyDataset for fewer than 2 documents (one alone has every idf 0),
@@ -96,15 +115,8 @@ def build_tfidf(docs: list[list[str]]) -> tuple[dict[str, int], TermDocMatrix]:
         raise AllDocumentsEmpty("every document is empty after preprocessing")
 
     term_to_index = {t: j for j, t in enumerate(sorted({t for d in docs for t in d}))}
-    n, w = len(docs), len(term_to_index)
     columns = [[term_to_index[t] for t in d] for d in docs]
-    cols = np.fromiter(chain.from_iterable(columns), np.int64, lengths.sum())
-    rows = np.repeat(np.arange(n), lengths)
-    tf = sp.csr_matrix((np.ones(cols.size), (rows, cols)), shape=(n, w))
-    tf.sum_duplicates()
-    df = np.bincount(tf.indices, minlength=w)
-    A = tf.multiply(np.log(n / df)[np.newaxis, :]).tocsr()
-    return term_to_index, TermDocMatrix(A, columns)
+    return term_to_index, TermDocMatrix((len(docs), len(term_to_index)), columns, lengths)
 
 
 def _canonicalize_signs(V: np.ndarray, B: np.ndarray) -> None:

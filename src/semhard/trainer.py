@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import encoder as enc
 from .data import Dataset, SyntheticSpec, minibatches, read_lines
@@ -33,6 +32,7 @@ from .losses import (
 from .textsem import (
     PreprocessConfig,
     ReducedSemantics,
+    TermDocMatrix,
     build_tfidf,
     preprocess,
     truncated_svd,
@@ -76,7 +76,7 @@ class PreparedText:
     vocab_size: int
     train: enc.TokenLayout
     val: enc.TokenLayout
-    tfidf: sp.csr_matrix
+    tfidf: TermDocMatrix
 
 
 def prepare_text(
@@ -104,7 +104,7 @@ def prepare_text(
     train = lay_out("train", tdm.columns)
     val = lay_out("val", [[index[t] for t in preprocess(c, pre_cfg) if t in index]
                           for c in val_captions])
-    return PreparedText(len(index), train, val, tdm.matrix)
+    return PreparedText(len(index), train, val, tdm)
 
 
 def semantics(text: PreparedText, k_ceiling: int, seed: int) -> ReducedSemantics:
@@ -114,7 +114,7 @@ def semantics(text: PreparedText, k_ceiling: int, seed: int) -> ReducedSemantics
     if text.vocab_size < 2:
         raise EmptyDataset(f"the train split's vocabulary holds {text.vocab_size} term after"
                            " preprocessing; the SVD needs at least 2")
-    return truncated_svd(text.tfidf, min(k_ceiling, min(text.tfidf.shape) - 1), seed)
+    return truncated_svd(text.tfidf.matrix, min(k_ceiling, min(text.tfidf.shape) - 1), seed)
 
 
 def corpus_semantics(

@@ -240,6 +240,28 @@ class TestEvalAndDiag:
         assert (code, stdout) == (1, "")
         assert err.startswith(f"error: {broken}: ")
 
+    @pytest.mark.parametrize("command", ["eval", "diag"])
+    @pytest.mark.parametrize("scale", [1e160, 1e306])
+    def test_overflowing_weights_name_the_checkpoint(self, tmp_path, capsys, command, scale):
+        # finite weights whose squared norms overflow used to warn, score every
+        # embedding as the zero vector and exit 0
+        run_dir = tmp_path / "run"
+        lmh = ["--set", "loss.variant=lmh"]
+        run(["train", "--out", str(run_dir), *TINY, *lmh], capsys)
+        params = enc.load_checkpoint(run_dir / "best.ckpt")
+        params.W_img *= scale
+        params.W_txt *= scale
+        big = tmp_path / "big.ckpt"
+        enc.save_checkpoint(params, big)
+        out = tmp_path / "o"
+        code, stdout, err = run(
+            [command, "--checkpoint", str(big), "--out", str(out), *TINY, *lmh], capsys
+        )
+        assert (code, stdout) == (1, "")
+        assert err == (f"error: {big}: its weights overflow on this config's data"
+                       " (overflow encountered in multiply)\n")
+        assert not out.exists()
+
 
 def write_corpus(tmp_path, captions):
     """A captions file with every caption on image 0, and its one-row features file,
@@ -784,6 +806,49 @@ def test_import_loads_no_arpack():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[False, False]"
+
+
+def _scipy_loaded() -> str:
+    """Python that prints whether any `scipy` module, and `scipy.sparse`, are loaded."""
+    return ("print(any(m.partition('.')[0] == 'scipy' for m in sys.modules),"
+            " 'scipy.sparse' in sys.modules)")
+
+
+def test_import_loads_no_scipy():
+    # `import scipy.sparse` costs about half of this import's time; only an SVD needs it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", f"import sys, semhard.cli; {_scipy_loaded()}"],
+                         env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout == "False False\n"
+
+
+def test_commands_without_an_svd_load_no_scipy(tmp_path):
+    # lseh `train` builds the sparse TF-IDF for its SVD, which shows that the
+    # check sees SciPy load when it does
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    data = tmp_path / "data"
+    files = ["--set", f"data.captions={data / 'captions.tsv'}",
+             "--set", f"data.features={data / 'features.txt'}"]
+    lmh = [*TINY, *files, "--set", "loss.variant=lmh"]
+    checkpoint = str(tmp_path / "lmh" / "best.ckpt")
+    commands = [
+        ["gen", "--out", str(data), *TINY],
+        ["train", "--out", str(tmp_path / "lmh"), *lmh],
+        ["eval", "--checkpoint", checkpoint, "--out", str(tmp_path / "eval"), *lmh],
+        ["diag", "--checkpoint", checkpoint, "--out", str(tmp_path / "diag"), *lmh],
+        ["train", "--out", str(tmp_path / "lseh"), *TINY, *files],
+    ]
+    code = ("import contextlib, sys\nfrom semhard.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(sys.stderr):\n"
+            "        assert main(argv) == 0, argv\n"
+            f"    {_scipy_loaded()}")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["False False"] * 4 + ["True True"]
 
 
 def test_import_loads_no_multiprocessing():
