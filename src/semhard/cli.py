@@ -134,14 +134,15 @@ def _checkpoint_text(checkpoint, cfg, train_ds, val_captions):
 
 @contextmanager
 def _no_overflow(checkpoint):
-    """Fail as one error naming `checkpoint` when its finite weights overflow
-    the arithmetic of the `with` body, which would otherwise warn and score
-    every embedding as the zero vector."""
+    """Fail as one error naming `checkpoint` and the data when the arithmetic
+    of the `with` body overflows, which would otherwise warn and score every
+    embedding as the zero vector. Huge finite weights or huge finite features
+    can each cause it, so the error blames neither."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except FloatingPointError as exc:
-        raise BadCheckpoint(f"{checkpoint}: its weights overflow on this config's data"
+        raise BadCheckpoint(f"{checkpoint} on this config's data: the embeddings overflow"
                             f" ({exc})") from None
 
 
@@ -217,37 +218,32 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _lmh_best(cfg, out_dir, split) -> tuple[float, float]:
-    """`compare`'s lmh run, in its worker: only the best score and its epoch
-    are sent back, not the whole report."""
-    report = _run_one_training(cfg, out_dir, split, "lmh")
-    return report.best_m_recall, report.best_epoch
-
-
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
     split = _load_or_generate(cfg)
     out_dir = Path(args.out)
     # lmh trains in a worker while this process trains lseh; lmh's error
     # wins over lseh's, as when lmh ran first
-    with _in_worker("the lmh run's", _lmh_best, cfg, out_dir, split) as lmh_run:
+    with _in_worker("the lmh run's", _run_one_training, cfg, out_dir, split, "lmh") as lmh_run:
         lseh_report = _run_one_training(cfg, out_dir, split, variant="lseh")
-    lmh_best, lmh_epoch = lmh_run.result()
+    lmh_report = lmh_run.result()
 
+    threshold = lmh_report.best_m_recall
     crossing = epochs_to_threshold(
-        [(f, s) for f, s, _ in lseh_report.records], lmh_best
+        [(f, s) for f, s, _ in lseh_report.records], threshold
     )
     if crossing is None:
         difference = ""
         crossing_str = ""
     else:
-        difference = f"{efficiency_difference(crossing, lmh_epoch):.4f}"
+        difference = f"{efficiency_difference(crossing, lmh_report.best_epoch):.4f}"
         crossing_str = f"{crossing:.6f}"
 
     path = out_dir / "comparison.csv"
     columns = ["loss", "best_m_recall", "best_epoch", "epochs_to_lmh_best", "difference_pct"]
     rows = [
-        ["lmh", f"{lmh_best:.6f}", f"{lmh_epoch:.6f}", f"{lmh_epoch:.6f}", "0.0000"],
+        ["lmh", f"{lmh_report.best_m_recall:.6f}", f"{lmh_report.best_epoch:.6f}",
+         f"{lmh_report.best_epoch:.6f}", "0.0000"],
         ["lseh", f"{lseh_report.best_m_recall:.6f}", f"{lseh_report.best_epoch:.6f}",
          crossing_str, difference],
     ]

@@ -53,7 +53,7 @@ class TruncatedFile(SemhardError):
 class BadCheckpoint(SemhardError, ValueError):
     """A binary matrix file (a checkpoint or a semantics export) has the wrong
     magic, an unsupported version, extra bytes, NaN or inf, or unfit shapes,
-    or a checkpoint's weights overflow when they encode the data."""
+    or a checkpoint's embeddings of the data overflow."""
 
 
 class MalformedLine(SemhardError):

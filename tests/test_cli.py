@@ -11,7 +11,7 @@ import semhard.cli
 import semhard.trainer
 from semhard import encoder as enc
 from semhard.cli import main
-from semhard.data import SyntheticSpec, generate_synthetic
+from semhard.data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from semhard.errors import SemhardError
 
 TINY = [
@@ -241,25 +241,38 @@ class TestEvalAndDiag:
         assert err.startswith(f"error: {broken}: ")
 
     @pytest.mark.parametrize("command", ["eval", "diag"])
-    @pytest.mark.parametrize("scale", [1e160, 1e306])
-    def test_overflowing_weights_name_the_checkpoint(self, tmp_path, capsys, command, scale):
-        # finite weights whose squared norms overflow used to warn, score every
-        # embedding as the zero vector and exit 0
-        run_dir = tmp_path / "run"
-        lmh = ["--set", "loss.variant=lmh"]
-        run(["train", "--out", str(run_dir), *TINY, *lmh], capsys)
-        params = enc.load_checkpoint(run_dir / "best.ckpt")
-        params.W_img *= scale
-        params.W_txt *= scale
-        big = tmp_path / "big.ckpt"
-        enc.save_checkpoint(params, big)
+    @pytest.mark.parametrize(("scaled", "scale"), [
+        ("weights", 1e160), ("weights", 1e306), ("features", 1e200), ("features", 1e306),
+    ])
+    def test_overflowing_embeddings_fail_as_one_error(self, tmp_path, capsys, command, scaled,
+                                                      scale):
+        # huge finite weights or huge finite features used to warn, score every
+        # embedding as the zero vector and exit 0; either input can cause it,
+        # so the error names the checkpoint and the data, blaming neither
+        data, run_dir = tmp_path / "data", tmp_path / "run"
+        lmh = [*TINY, "--set", "loss.variant=lmh",
+               "--set", f"data.captions={data / 'captions.tsv'}",
+               "--set", f"data.features={data / 'features.txt'}"]
+        run(["gen", "--out", str(data), *TINY], capsys)
+        run(["train", "--out", str(run_dir), *lmh], capsys)
+        checkpoint = run_dir / "best.ckpt"
+        if scaled == "weights":
+            params = enc.load_checkpoint(checkpoint)
+            params.W_img *= scale
+            params.W_txt *= scale
+            enc.save_checkpoint(params, checkpoint)
+        else:
+            ds = load_dataset(data / "captions.tsv", data / "features.txt")
+            ds.features *= scale
+            save_dataset(ds, data / "captions.tsv", data / "features.txt")
         out = tmp_path / "o"
         code, stdout, err = run(
-            [command, "--checkpoint", str(big), "--out", str(out), *TINY, *lmh], capsys
+            [command, "--checkpoint", str(checkpoint), "--out", str(out), *lmh], capsys
         )
         assert (code, stdout) == (1, "")
-        assert err == (f"error: {big}: its weights overflow on this config's data"
-                       " (overflow encountered in multiply)\n")
+        assert err.startswith(f"error: {checkpoint} on this config's data:"
+                              " the embeddings overflow (")
+        assert err.count("\n") == 1
         assert not out.exists()
 
 
