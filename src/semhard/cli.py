@@ -85,28 +85,69 @@ def _load(cfg: dict[str, object]) -> Dataset:
     return generate_synthetic(from_config(SyntheticSpec, cfg, seed=cfg["seed"]))
 
 
+class _Outcome:
+    """What a forked worker sends back: the value of its `fn()`, or its error."""
+
+    def __init__(self, what: str, process, reader):
+        self._what, self._process, self._reader = what, process, reader
+        self._sent = None  # (returned, value or error), once received
+
+    def poll(self) -> bool:
+        """Whether the worker has sent, or died, so that `result()` will not wait."""
+        return self._reader.poll()
+
+    def result(self):
+        """Wait for the worker to end, then return `fn`'s value or raise its error."""
+        if not self._reader.closed:
+            try:
+                self._sent = self._reader.recv()
+            except EOFError:  # the worker died before it sent
+                pass
+            finally:
+                # joined only after the receive: an outcome larger than the
+                # pipe's buffer would otherwise block the worker's send forever
+                self._process.join()
+                self._reader.close()
+        if self._sent is None:
+            raise SemhardError(f"{self._what} worker process died:"
+                               f" exit code {self._process.exitcode}")
+        returned, value = self._sent
+        if not returned:
+            raise value
+        return value
+
+
 @contextmanager
-def _in_worker(what: str, fn, *args):
-    """Yield the future of `fn(*args)`, run in one forked worker while the
-    `with` body runs here. Leaving the block waits for the worker on every
-    path, and the worker's error wins over the body's; a worker that dies
-    without raising fails as one SemhardError naming `what`."""
+def _in_worker(what: str, fn):
+    """Yield the outcome of `fn()`, run in one forked worker while the `with`
+    body runs here. Fork hands the worker `fn` and all it closes over, so no
+    input is pickled, and one message comes back over a one-way pipe. Leaving
+    the block waits for the worker on every path, and the worker's error wins
+    over the body's; a worker that dies without sending fails as one
+    SemhardError naming `what` and its exit code."""
     # imported here: `import semhard.cli` would otherwise load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
     from multiprocessing import get_context
 
-    # forked, not spawned, which would import NumPy and this package again;
-    # the pool forks before it starts its own thread
-    with ProcessPoolExecutor(1, mp_context=get_context("fork")) as pool:
-        future = pool.submit(fn, *args)
+    # forked, not spawned, which would import NumPy and this package again
+    ctx = get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+
+    def send_outcome():
+        reader.close()  # so that this send fails, not blocks, if the parent dies first
         try:
-            yield future
-        finally:
-            try:
-                future.result()
-            except BrokenProcessPool as exc:
-                raise SemhardError(f"{what} worker process died: {exc}") from None
+            message = (True, fn())
+        except Exception as exc:
+            message = (False, exc)
+        writer.send(message)
+
+    process = ctx.Process(target=send_outcome)
+    process.start()
+    writer.close()  # the worker's copy is then the only one, so its death reads as EOF here
+    outcome = _Outcome(what, process, reader)
+    try:
+        yield outcome
+    finally:
+        outcome.result()
 
 
 def _load_or_generate(cfg: dict[str, object]) -> tuple[Dataset, Dataset]:
@@ -185,11 +226,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _check_dataset(captions_path, features_path) -> None:
-    """Every check of `load_dataset`, with nothing to send back."""
-    load_dataset(captions_path, features_path)
-
-
 def cmd_svd(args) -> int:
     cfg = _load_config(args)
     tcfg = train_config_from_dict(cfg)
@@ -198,9 +234,10 @@ def cmd_svd(args) -> int:
     if files is None:  # the synthetic corpus has nothing to check
         sem, _ = trainer.corpus_semantics(_load(cfg).captions, pre_cfg, tcfg.svd_k, tcfg.seed)
     else:  # the SVD needs only the texts, so the dataset is checked in a worker meanwhile
-        with _in_worker("the dataset check's", _check_dataset, *files) as checked:
+        # the check sends back only its error, not the dataset it loaded
+        with _in_worker("the dataset check's", lambda: load_dataset(*files) and None) as checked:
             text = trainer.prepare_text([t for *_, t in caption_lines(files[0])], [], pre_cfg)
-            if checked.done():  # a check that has already failed ends the command before the SVD
+            if checked.poll():  # a check that has already failed ends the command before the SVD
                 checked.result()
             sem = trainer.semantics(text, tcfg.svd_k, tcfg.seed)
     out = Path(args.out) / "semantics.bin"
@@ -224,7 +261,8 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out)
     # lmh trains in a worker while this process trains lseh; lmh's error
     # wins over lseh's, as when lmh ran first
-    with _in_worker("the lmh run's", _run_one_training, cfg, out_dir, split, "lmh") as lmh_run:
+    with _in_worker("the lmh run's",
+                    lambda: _run_one_training(cfg, out_dir, split, "lmh")) as lmh_run:
         lseh_report = _run_one_training(cfg, out_dir, split, variant="lseh")
     lmh_report = lmh_run.result()
 

@@ -1,7 +1,11 @@
+import faulthandler
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
+import time
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 
 import numpy as np
@@ -342,7 +346,7 @@ class TestSvd:
         features = tmp_path / "data" / "features.txt"
         if fault == "dead-worker":
             monkeypatch.setattr(semhard.cli, "load_dataset", lambda *paths: os._exit(3))
-            shown = "error: the dataset check's worker process died: "
+            shown = "error: the dataset check's worker process died: exit code 3\n"
         elif fault == "nan-row":
             features.write_text("1 2\n0.5 nan\n")
             shown = f"error: {features}:2: feature row 0 holds NaN or inf"
@@ -358,26 +362,20 @@ class TestSvd:
         assert multiprocessing.active_children() == []
 
     def test_failed_check_stops_the_command_before_the_svd(self, tmp_path, capsys, monkeypatch):
-        from concurrent.futures import ProcessPoolExecutor, wait
-
-        futures, svd_calls = [], []
-        real_submit, real_tfidf = ProcessPoolExecutor.submit, semhard.trainer.build_tfidf
-
-        def submit(pool, *args, **kwargs):
-            futures.append(real_submit(pool, *args, **kwargs))
-            return futures[-1]
+        svd_calls, real_tfidf = [], semhard.trainer.build_tfidf
 
         def build_tfidf(docs):  # the check ends while this process reads the captions
-            assert wait(futures, timeout=60).done == set(futures)
+            deadline = time.monotonic() + 60
+            while multiprocessing.active_children() and time.monotonic() < deadline:
+                time.sleep(0.01)
             return real_tfidf(docs)
 
-        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
         monkeypatch.setattr(semhard.trainer, "build_tfidf", build_tfidf)
         monkeypatch.setattr(semhard.trainer, "truncated_svd", lambda *a: svd_calls.append(a))
         data = write_corpus(tmp_path, ["a red kite", "two red dogs"])
         (tmp_path / "data" / "features.txt").unlink()
         code, _, err = run(["svd", "--out", str(tmp_path / "svd"), *TINY, *data], capsys)
-        assert (code, len(futures), svd_calls) == (1, 1, [])
+        assert (code, svd_calls) == (1, [])
         assert err.startswith("error: [Errno 2] No such file or directory: ")
 
     def test_benchmark_tracer_hooks_still_match(self, tmp_path, capsys, monkeypatch):
@@ -460,7 +458,49 @@ class TestCompare:
         assert (code, stdout) == (1, "")
         assert err.startswith("error: the lmh run's worker process died: ")
         assert err.count("\n") == 1
+        assert "exit code 3" in err
         assert multiprocessing.active_children() == []
+
+    def test_report_larger_than_the_pipe_buffer_comes_back(self, tmp_path, capsys, monkeypatch):
+        # the parent receives before it joins: a worker whose outcome outgrows
+        # the pipe's buffer waits in its send until the parent reads
+        real_train = semhard.trainer.train
+
+        def train(*args, tag="", **kwargs):
+            report = real_train(*args, tag=tag, **kwargs)
+            if tag == "lmh":
+                report.hard_neg_logs = [(list(range(1 << 18)), [])]
+                assert len(pickle.dumps(report)) > 1 << 20
+            return report
+
+        monkeypatch.setattr(semhard.trainer, "train", train)
+        # a deadlock ends the test session after 60 s instead of hanging it
+        faulthandler.dump_traceback_later(60, exit=True, file=sys.__stderr__)
+        try:
+            code, _, err = run(["compare", "--out", str(tmp_path / "c"), *TINY], capsys)
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        assert code == 0, err
+        assert multiprocessing.active_children() == []
+
+    def test_no_input_is_pickled_for_the_worker(self, tmp_path, capsys, monkeypatch):
+        # fork hands each worker its inputs; only the worker pickles, to send its outcome
+        data = tmp_path / "data"
+        run(["gen", "--out", str(data), *TINY], capsys)
+        command_pid, dumped, real_dumps = os.getpid(), [], ForkingPickler.dumps
+
+        def dumps(obj, protocol=None):
+            if os.getpid() == command_pid:
+                dumped.append(type(obj))
+            return real_dumps(obj, protocol)
+
+        monkeypatch.setattr(ForkingPickler, "dumps", staticmethod(dumps))
+        files = ["--set", f"data.captions={data / 'captions.tsv'}",
+                 "--set", f"data.features={data / 'features.txt'}"]
+        for command in (["compare"], ["svd", *files]):
+            code, _, err = run([*command, "--out", str(tmp_path / command[0]), *TINY], capsys)
+            assert code == 0, err
+        assert dumped == []
 
     @pytest.mark.parametrize("failing, shown", [
         (("lmh", "lseh"), "lmh"), (("lmh",), "lmh"), (("lseh",), "lseh"),
