@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .textsem import cosine_matrix
+from .textsem import unit_rows
 
 VARIANTS = ("lsh", "lmh", "lseh")
 
@@ -70,11 +70,15 @@ class LossOutput:
     hard_neg_img: np.ndarray | None = None   # per text column: hardest image row
 
 
-def semantic_factor_matrix(batch_rows: np.ndarray, lam: float) -> np.ndarray:
-    """F[i, j] = lam * cos(row_i, row_j) off-diagonal, zero diagonal."""
+def semantic_factor_matrix(batch_rows: np.ndarray, lam: float, unit: bool = False) -> np.ndarray:
+    """F[i, j] = lam * cos(row_i, row_j) off-diagonal, zero diagonal. With
+    `unit`, the rows are already `unit_rows` output and are not rescaled."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    F = lam * cosine_matrix(np.asarray(batch_rows, dtype=np.float64))
+    rows = np.asarray(batch_rows, dtype=np.float64)
+    if not unit:
+        rows = unit_rows(rows)
+    F = lam * (rows @ rows.T)
     np.fill_diagonal(F, 0.0)
     return F
 

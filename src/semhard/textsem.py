@@ -1,9 +1,10 @@
 """Corpus semantics: preprocessing, TF-IDF, truncated SVD, row cosines.
 
-The description corpus is turned into a sparse term-document matrix
-(raw term count x ln(n/df)) and reduced with a truncated SVD: ARPACK for
-large inputs, randomized subspace iteration for small ones. The cosines
-of the reduced rows are the semantic similarities.
+The description corpus is turned into a term-document matrix (raw term
+count x ln(n/df)) and reduced with a truncated SVD by one of three routes:
+ARPACK for a large sparse matrix, one LAPACK SVD for a dense array whose
+sketch would be full width, and randomized subspace iteration otherwise.
+The cosines of the reduced rows are the semantic similarities.
 """
 
 from __future__ import annotations
@@ -59,19 +60,31 @@ class TermDocMatrix:
     columns: list[list[int]]  # each document's tokens as matrix columns, in order
     lengths: np.ndarray       # each document's token count
 
+    def _entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The row and column of every token, one entry per occurrence."""
+        cols = np.fromiter(chain.from_iterable(self.columns), np.int64, self.lengths.sum())
+        return np.repeat(np.arange(self.shape[0]), self.lengths), cols
+
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        """The TF-IDF weights, built on first access."""
-        # imported here: `import scipy.sparse` costs about 0.17 s, and only an SVD reads this
+        """The TF-IDF weights as a sparse matrix, built on first access."""
+        # imported here: `import scipy.sparse` costs about 0.17 s and 20 MB RSS,
+        # and only an SVD of a matrix too large for `dense` reads this
         import scipy.sparse as sp
 
         n, w = self.shape
-        cols = np.fromiter(chain.from_iterable(self.columns), np.int64, self.lengths.sum())
-        rows = np.repeat(np.arange(n), self.lengths)
+        rows, cols = self._entries()
         tf = sp.csr_matrix((np.ones(cols.size), (rows, cols)), shape=(n, w))
         tf.sum_duplicates()
         df = np.bincount(tf.indices, minlength=w)
         return tf.multiply(np.log(n / df)[np.newaxis, :]).tocsr()
+
+    def dense(self) -> np.ndarray:
+        """The same TF-IDF weights as `matrix`, bit for bit, as an n x w array."""
+        tf = np.zeros(self.shape)
+        np.add.at(tf, self._entries(), 1.0)
+        tf *= np.log(self.shape[0] / np.count_nonzero(tf, axis=0))  # no second n x w array
+        return tf
 
 
 @dataclass
@@ -79,6 +92,12 @@ class ReducedSemantics:
     B: np.ndarray                # n x k reduced description vectors
     singular_values: np.ndarray  # length k, nonincreasing
     V: np.ndarray                # w x k, orthonormal columns
+
+    @cached_property
+    def unit_B(self) -> np.ndarray:
+        """B's rows scaled to unit length, computed once: the rows of any
+        batch give the same bits as `unit_rows(B[batch])`."""
+        return unit_rows(self.B)
 
 
 def preprocess(text: str, cfg: PreprocessConfig = PreprocessConfig()) -> list[str]:
@@ -133,15 +152,20 @@ def truncated_svd(
     k: int,
     seed: int = 0,
 ) -> ReducedSemantics:
-    """Top-k singular triplets, to near machine precision.
+    """Top-k singular triplets, to near machine precision, by one of three routes:
 
-    When min(n, w) > ARPACK_MIN_DIM and k < min(n, w), ARPACK
-    (`scipy.sparse.linalg.svds`, tol=0) solves it from a seeded start
-    vector. Otherwise randomized subspace iteration on k + max(k, SVD_OVERSAMPLE)
-    columns runs past SVD_MIN_ITERS until the singular-value estimates change
-    by less than SVD_TOL, so it matches a dense SVD even on flat spectra. Either
-    way B = M @ V and each V column's largest-magnitude entry is positive.
-    Raises ConvergenceFailure when the chosen solver does not converge.
+    - when min(n, w) > ARPACK_MIN_DIM and k < min(n, w), ARPACK
+      (`scipy.sparse.linalg.svds`, tol=0) from a seeded start vector;
+    - when M is a NumPy array and the sketch below would be full width
+      (l == min(n, w)), one LAPACK SVD (`np.linalg.svd`) of M itself;
+    - otherwise randomized subspace iteration on a sketch of
+      l = k + max(k, SVD_OVERSAMPLE) columns, capped at min(n, w), run past
+      SVD_MIN_ITERS until the singular-value estimates change by less than
+      SVD_TOL. They then match a dense SVD's even on flat spectra; their
+      error is the square of the subspace's, so B is good to about sqrt(SVD_TOL).
+
+    Every route gives B = M @ V with each V column's largest-magnitude entry
+    positive. Raises ConvergenceFailure when the chosen solver does not converge.
     """
     n, w = M.shape
     if not 1 <= k <= min(n, w):
@@ -162,14 +186,19 @@ def truncated_svd(
         return _reduced_semantics(M, s, Vt)
 
     l = min(k + max(k, SVD_OVERSAMPLE), min(n, w))
-    Q = np.linalg.qr(M @ rng.standard_normal((w, l)))[0]
+    if isinstance(M, np.ndarray) and l == min(n, w):
+        _, s, Vt = np.linalg.svd(M, full_matrices=False)
+        return _reduced_semantics(M, s[:k], Vt[:k])
+
+    # Y = Q.T @ M serves the next step, the convergence test and the final SVD
+    Y = np.linalg.qr(M @ rng.standard_normal((w, l)))[0].T @ M
 
     prev = None
     for it in range(SVD_MAX_ITERS):
-        Q = np.linalg.qr(M @ (M.T @ Q))[0]
+        Y = np.linalg.qr(M @ Y.T)[0].T @ M
         if it + 1 < SVD_MIN_ITERS:
             continue
-        s = np.linalg.svd(Q.T @ M, compute_uv=False)[:k]
+        s = np.linalg.svd(Y, compute_uv=False)[:k]
         if prev is not None:
             denom = np.maximum(np.abs(s), 1e-300)
             if np.max(np.abs(s - prev) / denom) < SVD_TOL:
@@ -181,7 +210,7 @@ def truncated_svd(
             f"iterations for k={k} on a {n}x{w} matrix"
         )
 
-    _, s, Vt = np.linalg.svd(Q.T @ M, full_matrices=False)
+    _, s, Vt = np.linalg.svd(Y, full_matrices=False)
     return _reduced_semantics(M, s[:k], Vt[:k])
 
 
@@ -195,11 +224,15 @@ def _reduced_semantics(M, s: np.ndarray, Vt: np.ndarray) -> ReducedSemantics:
     return ReducedSemantics(B=B, singular_values=s[order], V=V)
 
 
+def unit_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows scaled to unit length; zero rows stay zero."""
+    norms = np.linalg.norm(rows, axis=1)
+    return rows / np.where(norms > 0, norms, 1.0)[:, np.newaxis]
+
+
 def cosine_matrix(rows: np.ndarray) -> np.ndarray:
     """Pairwise cosine of matrix rows; zero rows give zero scores."""
-    norms = np.linalg.norm(rows, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    unit = rows / safe[:, np.newaxis]
+    unit = unit_rows(rows)
     return unit @ unit.T
 
 

@@ -30,6 +30,7 @@ from .losses import (
     semantic_factor_matrix,
 )
 from .textsem import (
+    ARPACK_MIN_DIM,
     PreprocessConfig,
     ReducedSemantics,
     TermDocMatrix,
@@ -110,11 +111,18 @@ def prepare_text(
 def semantics(text: PreparedText, k_ceiling: int, seed: int) -> ReducedSemantics:
     """The train split's semantics: the truncated SVD of its n x w TF-IDF
     matrix at rank min(k_ceiling, min(n, w) - 1). A vocabulary of one term
-    leaves no rank and fails as EmptyDataset before the SVD."""
+    leaves no rank and fails as EmptyDataset before the SVD.
+
+    A matrix of at most ARPACK_MIN_DIM ** 2 entries (8 MB) goes to the SVD
+    as a NumPy array, which spares the `scipy.sparse` import; a larger one
+    as the sparse matrix. min(n, w) > ARPACK_MIN_DIM puts n * w above that
+    cap, so ARPACK never gets an array."""
     if text.vocab_size < 2:
         raise EmptyDataset(f"the train split's vocabulary holds {text.vocab_size} term after"
                            " preprocessing; the SVD needs at least 2")
-    return truncated_svd(text.tfidf.matrix, min(k_ceiling, min(text.tfidf.shape) - 1), seed)
+    n, w = text.tfidf.shape
+    M = text.tfidf.dense() if n * w <= ARPACK_MIN_DIM ** 2 else text.tfidf.matrix
+    return truncated_svd(M, min(k_ceiling, n - 1, w - 1), seed)
 
 
 def corpus_semantics(
@@ -138,11 +146,12 @@ def batch_loss(
     sem: ReducedSemantics | None,
 ) -> tuple[enc.ForwardCache, LossOutput]:
     """Forward a mini-batch of caption indices with their images, then score
-    the similarity block; only lseh reads the semantic factors from `sem`."""
+    the similarity block; only lseh reads the semantic factors, from the
+    unit rows `sem` computes once per run."""
     X = ds.features[ds.caption_image[batch]]
     cache = enc.forward(params, X, tokens[batch])
     lseh = loss_cfg.variant == "lseh"
-    F = semantic_factor_matrix(sem.B[batch], loss_cfg.lam) if lseh else None
+    F = semantic_factor_matrix(sem.unit_B[batch], loss_cfg.lam, unit=True) if lseh else None
     block = SimilarityBlock(S=enc.similarity_matrix(cache), F=F)
     return cache, compute_loss(block, loss_cfg)
 

@@ -876,23 +876,12 @@ def test_import_loads_no_scipy():
     assert out.stdout == "False False\n"
 
 
-def test_commands_without_an_svd_load_no_scipy(tmp_path):
-    # lseh `train` builds the sparse TF-IDF for its SVD, which shows that the
-    # check sees SciPy load when it does
+def _modules_after(tmp_path, commands: list[list[str]]) -> list[str]:
+    """Run `gen` on TINY files under tmp_path, then each command in one
+    interpreter; one `_scipy_loaded()` line after each command."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    data = tmp_path / "data"
-    files = ["--set", f"data.captions={data / 'captions.tsv'}",
-             "--set", f"data.features={data / 'features.txt'}"]
-    lmh = [*TINY, *files, "--set", "loss.variant=lmh"]
-    checkpoint = str(tmp_path / "lmh" / "best.ckpt")
-    commands = [
-        ["gen", "--out", str(data), *TINY],
-        ["train", "--out", str(tmp_path / "lmh"), *lmh],
-        ["eval", "--checkpoint", checkpoint, "--out", str(tmp_path / "eval"), *lmh],
-        ["diag", "--checkpoint", checkpoint, "--out", str(tmp_path / "diag"), *lmh],
-        ["train", "--out", str(tmp_path / "lseh"), *TINY, *files],
-    ]
+    commands = [["gen", "--out", str(tmp_path / "data"), *TINY], *commands]
     code = ("import contextlib, sys\nfrom semhard.cli import main\n"
             f"for argv in {commands!r}:\n"
             "    with contextlib.redirect_stdout(sys.stderr):\n"
@@ -901,7 +890,41 @@ def test_commands_without_an_svd_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["False False"] * 4 + ["True True"]
+    return out.stdout.splitlines()
+
+
+def _tiny_files(tmp_path) -> list[str]:
+    data = tmp_path / "data"
+    return [*TINY, "--set", f"data.captions={data / 'captions.tsv'}",
+            "--set", f"data.features={data / 'features.txt'}"]
+
+
+def test_commands_without_an_svd_load_no_scipy(tmp_path):
+    # an `svd` whose TF-IDF matrix holds more than ARPACK_MIN_DIM ** 2 entries
+    # (1,875 x 865 at gen.clusters=15) builds it sparse, which shows that the
+    # check sees SciPy load when it does
+    lmh = [*_tiny_files(tmp_path), "--set", "loss.variant=lmh"]
+    checkpoint = str(tmp_path / "lmh" / "best.ckpt")
+    lines = _modules_after(tmp_path, [
+        ["train", "--out", str(tmp_path / "lmh"), *lmh],
+        ["eval", "--checkpoint", checkpoint, "--out", str(tmp_path / "eval"), *lmh],
+        ["diag", "--checkpoint", checkpoint, "--out", str(tmp_path / "diag"), *lmh],
+        ["svd", "--out", str(tmp_path / "svd"), "--set", "gen.clusters=15", "--set", "svd_k=4"],
+    ])
+    assert lines == ["False False"] * 4 + ["True True"]
+
+
+def test_desk_scale_svd_commands_load_no_scipy(tmp_path):
+    # a TF-IDF matrix under ARPACK_MIN_DIM ** 2 entries reaches the SVD as a NumPy array
+    files = _tiny_files(tmp_path)
+    checkpoint = str(tmp_path / "lseh" / "best.ckpt")
+    lines = _modules_after(tmp_path, [
+        ["train", "--out", str(tmp_path / "lseh"), *files],
+        ["diag", "--checkpoint", checkpoint, "--out", str(tmp_path / "diag"), *files],
+        ["compare", "--out", str(tmp_path / "compare"), *files],
+        ["svd", "--out", str(tmp_path / "svd"), *files],
+    ])
+    assert lines == ["False False"] * 5
 
 
 def test_import_loads_no_multiprocessing():

@@ -11,6 +11,7 @@ from semhard.losses import (
     lsh,
     semantic_factor_matrix,
 )
+from semhard.textsem import ReducedSemantics
 
 
 def loss_gradient_check(
@@ -138,6 +139,16 @@ class TestSemanticFactorMatrix:
                     np.linalg.norm(rows[i]) * np.linalg.norm(rows[j])
                 )
                 assert F[i, j] == pytest.approx(naive, abs=1e-12)
+
+    def test_unit_rows_gathered_from_all_of_b_give_the_same_bits(self):
+        # training scales B's rows once per run and gathers each batch from them
+        rng = np.random.default_rng(3)
+        B = rng.standard_normal((50, 8))
+        B[7] = 0.0
+        unit = ReducedSemantics(B, np.ones(8), np.eye(8)).unit_B
+        for batch in (rng.permutation(50)[:8], np.array([7, 3, 9, 1])):
+            assert np.array_equal(semantic_factor_matrix(unit[batch], 0.025, unit=True),
+                                  semantic_factor_matrix(B[batch], 0.025))
 
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(2)

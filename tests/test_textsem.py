@@ -91,7 +91,29 @@ class TestPreprocess:
         assert [preprocess(c) for c in captions] == memoized
 
 
+def train_split_tfidf(val_fraction, seed):
+    """The TF-IDF of a default synthetic corpus's train split: 800 x 500 at
+    val_fraction 0.15, and the criterion-6 600 x 500 at 0.4."""
+    train, _ = split_dataset(generate_synthetic(SyntheticSpec(seed=seed)), val_fraction, seed)
+    return build_tfidf([preprocess(c) for c in train.captions])[1]
+
+
 class TestBuildTfidf:
+    @pytest.mark.parametrize("docs", [
+        [["a", "a", "b"], [], ["b", "c", "c", "c"], ["a"], ["c", "b", "c"]],
+        [["x"], ["x"]],
+    ], ids=["repeats-and-empty-row", "uniform-term"])
+    def test_dense_form_is_the_sparse_matrix_bit_for_bit(self, docs):
+        _, tdm = build_tfidf(docs)
+        dense, sparse = tdm.dense(), tdm.matrix.toarray()
+        assert dense.dtype == sparse.dtype == np.float64
+        assert np.array_equal(dense.view(np.int64), sparse.view(np.int64))
+
+    def test_dense_form_of_a_train_split(self):
+        tdm = train_split_tfidf(0.4, 1000)
+        assert tdm.shape == (600, 500)
+        assert np.array_equal(tdm.dense().view(np.int64), tdm.matrix.toarray().view(np.int64))
+
     def test_uniform_term_gives_zero_idf(self):
         _, tdm = build_tfidf([["x"], ["x"]])
         assert tdm.matrix.toarray().max() == 0.0
@@ -269,6 +291,55 @@ class TestArpackPath:
         monkeypatch.setattr(scipy.sparse.linalg, "svds", stalls)
         with pytest.raises(ConvergenceFailure, match=r"k=16 on a 1200x1100"):
             truncated_svd(sparse[0], self.K, seed=4)
+
+
+class TestDenseRoutes:
+    """A NumPy array goes to one LAPACK SVD when the sketch would be full
+    width, and to the subspace iteration otherwise. Both match a dense
+    oracle's singular values to 1e-10."""
+
+    @pytest.fixture
+    def qr_calls(self, monkeypatch):
+        calls, real = [], np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        return calls
+
+    @staticmethod
+    def cosine_error(A, sem, k):
+        """Largest cosine error of B's rows against the oracle's U_k S_k,
+        after checking the singular values and B = A @ V."""
+        U, s, _ = np.linalg.svd(A, full_matrices=False)
+        assert np.max(np.abs(sem.singular_values - s[:k]) / s[:k]) < 1e-10
+        assert np.array_equal(sem.B, A @ sem.V)
+        return np.max(np.abs(cosine_matrix(sem.B) - cosine_matrix(U[:, :k] * s[:k])))
+
+    def test_full_width_sketch_is_one_lapack_svd(self, qr_calls):
+        # k=400 on the default 800 x 500 train split: l = min(800, 500) = 500
+        A = train_split_tfidf(0.15, 0).dense()
+        sem = truncated_svd(A, 400, seed=0)
+        assert qr_calls == []
+        assert self.cosine_error(A, sem, 400) < 1e-9
+
+    @pytest.mark.parametrize("seed", [1000, 1003])
+    def test_loop_at_the_criterion_6_shape(self, qr_calls, seed):
+        # k=8 on a 600 x 500 criterion-6 train split: l = 16. The loop stops
+        # when its singular values settle to SVD_TOL; their error is the
+        # square of the subspace's, so B's cosines are good to about
+        # sqrt(SVD_TOL) (4.6e-7 to 7.6e-7 on seeds 1000 to 1003)
+        tdm = train_split_tfidf(0.4, seed)
+        A = tdm.dense()
+        sem = truncated_svd(A, 8, seed=seed)
+        assert len(qr_calls) > textsem.SVD_MIN_ITERS
+        assert self.cosine_error(A, sem, 8) < 1e-5
+        # the sparse matrix runs the same loop: the two agree far closer than either to the oracle
+        sparse = truncated_svd(tdm.matrix, 8, seed=seed)
+        assert np.max(np.abs(cosine_matrix(sem.B) - cosine_matrix(sparse.B))) < 1e-12
+
+    def test_sparse_input_at_full_width_keeps_the_loop(self, qr_calls):
+        A = sp.csr_matrix(np.random.default_rng(8).standard_normal((30, 20)))
+        sem = truncated_svd(A, 15, seed=0)
+        assert qr_calls
+        assert np.allclose(sem.singular_values, dense_svd_oracle(A.toarray(), 15), rtol=1e-10)
 
 
 class TestSemanticSimilarity:

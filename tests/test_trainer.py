@@ -186,6 +186,19 @@ class TestPrepareText:
         assert semhard.trainer.semantics(text, k_ceiling, 0).B.shape == (3, 2)
         assert svd_calls == [2]
 
+    def test_semantics_passes_an_array_up_to_the_cap(self, monkeypatch):
+        # 3 x 7 = 21 entries: an array under a cap of 5 ** 2, the sparse matrix over 4 ** 2
+        inputs, real = [], semhard.trainer.truncated_svd
+        monkeypatch.setattr(semhard.trainer, "truncated_svd",
+                            lambda M, *a: inputs.append(M) or real(M, *a))
+        text = prepare_text(self.CAPTIONS, [], PreprocessConfig())
+        for side in (5, 4):
+            monkeypatch.setattr(semhard.trainer, "ARPACK_MIN_DIM", side)
+            semhard.trainer.semantics(text, 2, 0)
+        dense, sparse = inputs
+        assert type(dense) is np.ndarray and sparse.format == "csr"
+        assert np.array_equal(dense, sparse.toarray())
+
     def test_one_term_vocabulary_fails_before_the_svd(self, svd_calls):
         # min(n, w) - 1 would ask the SVD for rank 0
         text = prepare_text(["kite", "kites"], [], PreprocessConfig())
