@@ -17,6 +17,7 @@ import numpy as np
 from . import encoder as enc
 from . import trainer
 from .data import (
+    CaptionLines,
     Dataset,
     SyntheticSpec,
     caption_lines,
@@ -156,14 +157,17 @@ def _load_or_generate(cfg: dict[str, object]) -> tuple[Dataset, Dataset]:
     return split_dataset(_load(cfg), cfg["val_fraction"], cfg["seed"])
 
 
-def _checkpoint_text(checkpoint, cfg, train_ds, val_captions):
-    """The checkpoint's weights and the captions as ids over the vocabulary
-    rebuilt from `cfg`, which must be as large as the one it was trained on."""
+def _checkpoint_text(checkpoint, cfg, train_ds, val_ds=None):
+    """The checkpoint's weights and the captions of both splits (no val split
+    when `val_ds` is None) as ids over the vocabulary rebuilt from `cfg`,
+    which must be as large as the one it was trained on."""
     params = enc.load_checkpoint(checkpoint)
     if params.W_img.shape[0] != train_ds.features.shape[1]:
         raise ShapeMismatch(f"{checkpoint}: the checkpoint takes {params.W_img.shape[0]}-wide"
                             f" image features, but this config's are {train_ds.features.shape[1]}")
-    text = trainer.prepare_text(train_ds.captions, val_captions, _preprocess_config(cfg))
+    val_captions, val_lines = ([], None) if val_ds is None else (val_ds.captions, val_ds.lines)
+    text = trainer.prepare_text(train_ds.captions, val_captions, _preprocess_config(cfg),
+                                train_ds.lines, val_lines)
     if params.E_word.shape[0] != text.vocab_size:
         raise ShapeMismatch(
             f"{checkpoint}: the checkpoint embeds {params.E_word.shape[0]} words,"
@@ -215,7 +219,7 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args)
     train_ds, val_ds = _load_or_generate(cfg)
     trainer.check_val_split(val_ds)
-    params, text = _checkpoint_text(args.checkpoint, cfg, train_ds, val_ds.captions)
+    params, text = _checkpoint_text(args.checkpoint, cfg, train_ds, val_ds)
     with _no_overflow(args.checkpoint):
         V = enc.encode_images(params, val_ds.features)
         U = enc.encode_texts(params, text.val)
@@ -224,6 +228,17 @@ def cmd_eval(args) -> int:
     write_report_csv(report, out, header=_resolved_header(cfg))
     print(f"m_recall={report.m_recall:.4f}")
     return 0
+
+
+def _file_text(path: str, pre_cfg: PreprocessConfig) -> trainer.PreparedText:
+    """A captions file's texts prepared as one train split, whose errors name
+    `path:line`. The caption lists are freed on return, before any SVD."""
+    captions, numbers = [], []
+    for lineno, *_, caption in caption_lines(path):
+        captions.append(caption)
+        numbers.append(lineno)
+    lines = CaptionLines(path, np.array(numbers, dtype=np.int64))
+    return trainer.prepare_text(captions, [], pre_cfg, lines)
 
 
 def cmd_svd(args) -> int:
@@ -236,7 +251,7 @@ def cmd_svd(args) -> int:
     else:  # the SVD needs only the texts, so the dataset is checked in a worker meanwhile
         # the check sends back only its error, not the dataset it loaded
         with _in_worker("the dataset check's", lambda: load_dataset(*files) and None) as checked:
-            text = trainer.prepare_text([t for *_, t in caption_lines(files[0])], [], pre_cfg)
+            text = _file_text(files[0], pre_cfg)
             if checked.poll():  # a check that has already failed ends the command before the SVD
                 checked.result()
             sem = trainer.semantics(text, tcfg.svd_k, tcfg.seed)
@@ -259,29 +274,32 @@ def cmd_compare(args) -> int:
     cfg = _load_config(args)
     split = _load_or_generate(cfg)
     out_dir = Path(args.out)
-    # lmh trains in a worker while this process trains lseh; lmh's error
-    # wins over lseh's, as when lmh ran first
-    with _in_worker("the lmh run's",
-                    lambda: _run_one_training(cfg, out_dir, split, "lmh")) as lmh_run:
-        lseh_report = _run_one_training(cfg, out_dir, split, variant="lseh")
-    lmh_report = lmh_run.result()
 
-    threshold = lmh_report.best_m_recall
+    def lmh_best():
+        report = _run_one_training(cfg, out_dir, split, "lmh")
+        return report.best_m_recall, report.best_epoch
+
+    # lmh trains in a worker while this process trains lseh; lmh's error
+    # wins over lseh's, as when lmh ran first. The worker sends back only
+    # the two numbers read here, not its whole report.
+    with _in_worker("the lmh run's", lmh_best) as lmh_run:
+        lseh_report = _run_one_training(cfg, out_dir, split, variant="lseh")
+    lmh_m_recall, lmh_epoch = lmh_run.result()
+
     crossing = epochs_to_threshold(
-        [(f, s) for f, s, _ in lseh_report.records], threshold
+        [(f, s) for f, s, _ in lseh_report.records], lmh_m_recall
     )
     if crossing is None:
         difference = ""
         crossing_str = ""
     else:
-        difference = f"{efficiency_difference(crossing, lmh_report.best_epoch):.4f}"
+        difference = f"{efficiency_difference(crossing, lmh_epoch):.4f}"
         crossing_str = f"{crossing:.6f}"
 
     path = out_dir / "comparison.csv"
     columns = ["loss", "best_m_recall", "best_epoch", "epochs_to_lmh_best", "difference_pct"]
     rows = [
-        ["lmh", f"{lmh_report.best_m_recall:.6f}", f"{lmh_report.best_epoch:.6f}",
-         f"{lmh_report.best_epoch:.6f}", "0.0000"],
+        ["lmh", f"{lmh_m_recall:.6f}", f"{lmh_epoch:.6f}", f"{lmh_epoch:.6f}", "0.0000"],
         ["lseh", f"{lseh_report.best_m_recall:.6f}", f"{lseh_report.best_epoch:.6f}",
          crossing_str, difference],
     ]
@@ -296,7 +314,7 @@ def cmd_diag(args) -> int:
     if tcfg.loss.variant == "lsh":
         raise SemhardError("diagnostics need a max-of-hinges loss variant")
     train_ds, _ = _load_or_generate(cfg)
-    params, text = _checkpoint_text(args.checkpoint, cfg, train_ds, [])
+    params, text = _checkpoint_text(args.checkpoint, cfg, train_ds)
     sem = trainer.semantics(text, tcfg.svd_k, tcfg.seed) if tcfg.loss.variant == "lseh" else None
     logs = []
     with _no_overflow(args.checkpoint):

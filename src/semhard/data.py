@@ -35,11 +35,25 @@ from .errors import (
 )
 
 
+@dataclass(frozen=True)
+class CaptionLines:
+    """Where captions were read: the captions file and each caption's line in it."""
+    path: str
+    numbers: np.ndarray  # caption index -> 1-based line number, as int64
+
+    def __getitem__(self, rows: np.ndarray) -> CaptionLines:
+        return CaptionLines(self.path, self.numbers[rows])
+
+    def where(self, caption: int) -> str:
+        return f"{self.path}:{self.numbers[caption]}"
+
+
 @dataclass
 class Dataset:
     features: np.ndarray        # n_img x d_img
     captions: list[str]         # caption text, file order
     caption_image: np.ndarray   # caption index -> image index, as int64
+    lines: CaptionLines | None = None  # None for a generated corpus
 
     def __post_init__(self):
         self.caption_image = np.asarray(self.caption_image, dtype=np.int64)
@@ -138,15 +152,19 @@ def load_dataset(captions_path: str | Path, features_path: str | Path) -> Datase
     n_img = features.shape[0]
     captions: list[str] = []
     caption_image: list[int] = []
+    numbers: list[int] = []
     seen_ids: set[str] = set()
-    for where, desc_id, img, text in caption_lines(captions_path):
+    for lineno, desc_id, img, text in caption_lines(captions_path):
         if desc_id in seen_ids:
-            raise DuplicateDescriptionId(f"{where}: duplicate description id {desc_id!r}")
+            raise DuplicateDescriptionId(
+                f"{captions_path}:{lineno}: duplicate description id {desc_id!r}")
         seen_ids.add(desc_id)
         if not 0 <= img < n_img:
-            raise MissingImageId(f"{where}: caption {desc_id!r} references image {img}")
+            raise MissingImageId(
+                f"{captions_path}:{lineno}: caption {desc_id!r} references image {img}")
         captions.append(text)
         caption_image.append(img)
+        numbers.append(lineno)
 
     uncaptioned = np.flatnonzero(np.bincount(caption_image, minlength=n_img) == 0)
     if uncaptioned.size:
@@ -157,25 +175,26 @@ def load_dataset(captions_path: str | Path, features_path: str | Path) -> Datase
     if not captions:
         raise EmptyDataset(f"{captions_path}: holds no captions")
 
-    return Dataset(features=features, captions=captions, caption_image=caption_image)
+    lines = CaptionLines(str(captions_path), np.array(numbers, dtype=np.int64))
+    return Dataset(features, captions, caption_image, lines)
 
 
-def caption_lines(path: str | Path) -> Iterator[tuple[str, str, int, str]]:
-    """Each non-blank line of a captions TSV as (`path:line`, description id,
-    image id, caption text); a line that breaks the format fails as MalformedLine."""
+def caption_lines(path: str | Path) -> Iterator[tuple[int, str, int, str]]:
+    """Each non-blank line of a captions TSV as (1-based line number, description
+    id, image id, caption text); a line that breaks the format fails as
+    MalformedLine at `path:line`."""
     for lineno, line in enumerate(read_lines(path), 1):
         if not line.strip():
             continue
-        where = f"{path}:{lineno}"
         try:
             desc_id, image_id, text = line.split("\t", 2)
             img = int(image_id)
         except ValueError:
             raise MalformedLine(
-                f"{where}: expected description_id<TAB>image_id<TAB>caption"
+                f"{path}:{lineno}: expected description_id<TAB>image_id<TAB>caption"
                 " with an integer image_id"
             ) from None
-        yield where, desc_id, img, text
+        yield lineno, desc_id, img, text
 
 
 def _load_features(path: str | Path) -> np.ndarray:
@@ -338,6 +357,7 @@ def _subset(ds: Dataset, keep: np.ndarray) -> Dataset:
         features=ds.features[used],
         captions=[ds.captions[d] for d in caps],
         caption_image=caption_image,
+        lines=None if ds.lines is None else ds.lines[caps],
     )
 
 

@@ -19,6 +19,8 @@ from .errors import (BadCheckpoint, EmptySequence, NonFiniteGradient, ShapeMisma
 
 CHECKPOINT_MAGIC = b"VSEC"
 CHECKPOINT_VERSION = 1
+# sequences per block of _mean_embeddings: a training batch of up to 64 is one block
+_BLOCK = 64
 
 
 @dataclass
@@ -101,7 +103,8 @@ def encode_images(params: ModelParams, X: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class TokenLayout:
     """Token-id sequences laid out for one vectorized mean embedding.
-    Indexing it with an integer array of rows gives the layout of those rows."""
+    Indexing it with an integer array of rows, or a slice, gives the layout of
+    those rows; a slice's arrays are views."""
     lengths: np.ndarray  # token count per sequence
     grid: np.ndarray     # sequences x longest length, ids with zero padding
     pad: np.ndarray      # True where `grid` holds padding
@@ -109,7 +112,7 @@ class TokenLayout:
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def __getitem__(self, rows: np.ndarray) -> TokenLayout:
+    def __getitem__(self, rows: np.ndarray | slice) -> TokenLayout:
         # cut to the rows' longest sequence, so a batch is laid out as its lists would be
         lengths = self.lengths[rows]
         width = lengths.max(initial=0)
@@ -135,12 +138,29 @@ def _layout(tokens: TokenLayout | list[list[int]]) -> TokenLayout:
     return tokens if isinstance(tokens, TokenLayout) else token_layout(tokens)
 
 
+def _padded_rows(E_word: np.ndarray, layout: TokenLayout) -> np.ndarray:
+    """The word embeddings of `layout.grid`, zero where it holds padding."""
+    rows = E_word[layout.grid]
+    rows[layout.pad] = 0.0
+    return rows
+
+
 def _mean_embeddings(params: ModelParams, layout: TokenLayout) -> np.ndarray:
     """Mean word embedding per sequence. Zero-padded rows summed in token
-    order, then divided, equal a per-row mean bit for bit."""
-    rows = params.E_word[layout.grid]
-    rows[layout.pad] = 0.0
-    return rows.sum(axis=1) / layout.lengths[:, np.newaxis]
+    order, then divided, equal a per-row mean bit for bit.
+
+    A layout of more than _BLOCK sequences is summed one block at a time,
+    each cut to its own longest sequence, into one sequences x d_word array:
+    only one block's padded rows exist at once, where the whole layout's
+    would take sequences x longest x d_word floats."""
+    n = len(layout.lengths)
+    if n <= _BLOCK:
+        return _padded_rows(params.E_word, layout).sum(axis=1) / layout.lengths[:, np.newaxis]
+    sums = np.empty((n, params.E_word.shape[1]))
+    for lo in range(0, n, _BLOCK):
+        _padded_rows(params.E_word, layout[lo:lo + _BLOCK]).sum(axis=1, out=sums[lo:lo + _BLOCK])
+    sums /= layout.lengths[:, np.newaxis]
+    return sums
 
 
 def encode_texts(params: ModelParams, tokens: TokenLayout | list[list[int]]) -> np.ndarray:

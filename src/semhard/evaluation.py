@@ -70,15 +70,18 @@ class HardNegStats:
     unique_desc: list[int] = field(default_factory=list)  # per batch: #DesEmbs
 
 
-def _ranks(scores: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Rank of candidate target[q] in each row q: by descending score, ties to the lower index."""
-    t = scores[np.arange(len(target)), target][:, np.newaxis]
-    ranks = np.count_nonzero(scores > t, axis=1)
+def _ranks(scores: np.ndarray, target: np.ndarray, axis: int = 1) -> np.ndarray:
+    """Rank of candidate target[q] in each query q, a row of `scores` (axis=1)
+    or a column (axis=0): by descending score, ties to the lower index."""
+    q = np.arange(len(target))
+    t = np.expand_dims(scores[q, target] if axis == 1 else scores[target, q], axis)
+    ranks = np.count_nonzero(scores > t, axis=axis)
     equal = scores == t
     if np.count_nonzero(equal) > np.count_nonzero(t == t):  # a target's score recurs (NaN != NaN)
-        tied = np.flatnonzero(np.count_nonzero(equal, axis=1) > 1)
-        before = np.arange(scores.shape[1]) < target[tied, np.newaxis]
-        ranks[tied] += np.count_nonzero(equal[tied] & before, axis=1)
+        tied = np.flatnonzero(np.count_nonzero(equal, axis=axis) > 1)
+        before = (np.expand_dims(np.arange(scores.shape[axis]), 1 - axis)
+                  < np.expand_dims(target[tied], axis))
+        ranks[tied] += np.count_nonzero(np.take(equal, tied, 1 - axis) & before, axis=axis)
     return ranks
 
 
@@ -97,7 +100,7 @@ def _direction_ranks(sim: np.ndarray, relevance: RelevanceMap, direction: str) -
         best = grid[rows, np.argmax(sim[rows[:, np.newaxis], grid], axis=1)]
         return _ranks(sim, best)
     if direction == T2I:
-        return _ranks(sim.T, relevance.desc_img)
+        return _ranks(sim, relevance.desc_img, axis=0)
     raise ValueError(f"direction must be {I2T!r} or {T2I!r}")
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import encoder as enc
-from .data import Dataset, SyntheticSpec, minibatches, read_lines
+from .data import CaptionLines, Dataset, SyntheticSpec, minibatches, read_lines
 from .errors import (BadConfigValue, BeforeFirstValidation, EmptyDataset, EmptySequence,
                      MalformedLine, NonFiniteGradient, UnknownConfigKey)
 from .evaluation import retrieval_report, write_csv
@@ -84,27 +84,31 @@ def prepare_text(
     train_captions: list[str],
     val_captions: list[str],
     pre_cfg: PreprocessConfig,
+    train_lines: CaptionLines | None = None,
+    val_lines: CaptionLines | None = None,
 ) -> PreparedText:
     """Preprocess each split once and map it to ids over the sorted train
     vocabulary of the train split's TF-IDF matrix, dropping out-of-vocabulary
     tokens. Runs no SVD.
 
     Raises EmptySequence for a caption of either split that keeps no
-    in-vocabulary token: the encoder cannot embed it.
+    in-vocabulary token: the encoder cannot embed it. The error names the
+    caption's `path:line` when the split's `CaptionLines` are given, and
+    its index in the split otherwise.
     """
     index, tdm = build_tfidf([preprocess(c, pre_cfg) for c in train_captions])
 
-    def lay_out(split, ids):
+    def lay_out(split, ids, lines):
         empty = next((i for i, seq in enumerate(ids) if not seq), None)
         if empty is not None:
-            raise EmptySequence(
-                f"{split} caption {empty} has no in-vocabulary token after preprocessing"
-            )
+            caption = (f"{split} caption {empty}" if lines is None
+                       else f"{lines.where(empty)}: {split} caption")
+            raise EmptySequence(f"{caption} has no in-vocabulary token after preprocessing")
         return enc.token_layout(ids)
 
-    train = lay_out("train", tdm.columns)
+    train = lay_out("train", tdm.columns, train_lines)
     val = lay_out("val", [[index[t] for t in preprocess(c, pre_cfg) if t in index]
-                          for c in val_captions])
+                          for c in val_captions], val_lines)
     return PreparedText(len(index), train, val, tdm)
 
 
@@ -198,7 +202,7 @@ def train(
             f" batches < validation_step={cfg.validation_step}")
     out_dir = Path(out_dir)
 
-    text = prepare_text(train_ds.captions, val_ds.captions, pre_cfg)
+    text = prepare_text(train_ds.captions, val_ds.captions, pre_cfg, train_ds.lines, val_ds.lines)
     sem = semantics(text, cfg.svd_k, cfg.seed) if cfg.loss.variant == "lseh" else None
 
     params = enc.init_params(

@@ -1,10 +1,10 @@
 import faulthandler
 import multiprocessing
 import os
-import pickle
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 
@@ -281,11 +281,12 @@ class TestEvalAndDiag:
 
 
 def write_corpus(tmp_path, captions):
-    """A captions file with every caption on image 0, and its one-row features file,
-    as the `--set` pairs that point the CLI at them."""
+    """A captions file with every caption on image 0, a None caption a blank line,
+    and its one-row features file, as the `--set` pairs that point the CLI at them."""
     data = tmp_path / "data"
     data.mkdir()
-    (data / "captions.tsv").write_text("".join(f"d{i}\t0\t{c}\n" for i, c in enumerate(captions)))
+    (data / "captions.tsv").write_text("".join(
+        "\n" if c is None else f"d{i}\t0\t{c}\n" for i, c in enumerate(captions)))
     (data / "features.txt").write_text("1 2\n0.5 1.0\n")
     return ["--set", f"data.captions={data / 'captions.tsv'}",
             "--set", f"data.features={data / 'features.txt'}"]
@@ -305,11 +306,21 @@ class TestSvd:
         assert "wrote" in stdout
 
     def test_empty_caption_fails_like_train(self, tmp_path, capsys):
-        data = write_corpus(tmp_path, ["a red kite", "the of and", "two red dogs"])
-        code, _, err = run(["svd", "--out", str(tmp_path / "svd"), *TINY, *data], capsys)
-        assert code == 1
-        assert err == "error: train caption 1 has no in-vocabulary token after preprocessing\n"
-        assert not (tmp_path / "svd").exists()
+        # the 6th line holds the 5th caption, row 4 of the svd corpus and, after
+        # the shuffled split, a row of seed 0's train split or of seed 1's val split
+        data = write_corpus(tmp_path, [
+            "a red kite", "two red dogs", None, "a blue kite", "red dogs run", "the of and",
+            "blue kites fly", "a kite", "dogs run fast", "red kites", "blue dogs"])
+        line = tmp_path / "data" / "captions.tsv:6"
+        for command, seed, split in (("svd", 0, "train"), ("train", 0, "train"),
+                                     ("train", 1, "val")):
+            out = tmp_path / f"{command}{seed}"
+            code, stdout, err = run(
+                [command, "--out", str(out), *TINY, "--seed", str(seed), *data], capsys)
+            assert (code, stdout) == (1, ""), command
+            assert err == (f"error: {line}: {split} caption has no in-vocabulary token"
+                           " after preprocessing\n"), (command, seed)
+            assert not out.exists()
 
     def test_one_caption_corpus_names_the_count(self, tmp_path, capsys):
         data = write_corpus(tmp_path, ["a red kite"])
@@ -464,24 +475,33 @@ class TestCompare:
     def test_report_larger_than_the_pipe_buffer_comes_back(self, tmp_path, capsys, monkeypatch):
         # the parent receives before it joins: a worker whose outcome outgrows
         # the pipe's buffer waits in its send until the parent reads
-        real_train = semhard.trainer.train
-
-        def train(*args, tag="", **kwargs):
-            report = real_train(*args, tag=tag, **kwargs)
-            if tag == "lmh":
-                report.hard_neg_logs = [(list(range(1 << 18)), [])]
-                assert len(pickle.dumps(report)) > 1 << 20
-            return report
-
-        monkeypatch.setattr(semhard.trainer, "train", train)
+        big = bytes(1 << 20)
         # a deadlock ends the test session after 60 s instead of hanging it
         faulthandler.dump_traceback_later(60, exit=True, file=sys.__stderr__)
         try:
-            code, _, err = run(["compare", "--out", str(tmp_path / "c"), *TINY], capsys)
+            with semhard.cli._in_worker("the test's", lambda: big) as outcome:
+                pass
         finally:
             faulthandler.cancel_dump_traceback_later()
-        assert code == 0, err
+        assert outcome.result() == big
         assert multiprocessing.active_children() == []
+
+        # compare's lmh worker sends back the two numbers compare reads, not its report
+        sent, real_in_worker = [], semhard.cli._in_worker
+
+        @contextmanager
+        def in_worker(what, fn):
+            with real_in_worker(what, fn) as outcome:
+                yield outcome
+            sent.append(outcome.result())
+
+        monkeypatch.setattr(semhard.cli, "_in_worker", in_worker)
+        code, _, err = run(["compare", "--out", str(tmp_path / "c"), *TINY], capsys)
+        assert code == 0, err
+        (best, epoch), = sent
+        assert type(best) is float and type(epoch) is float
+        lmh_row = (tmp_path / "c" / "comparison.csv").read_text().splitlines()[2].split(",")
+        assert lmh_row[:3] == ["lmh", f"{best:.6f}", f"{epoch:.6f}"]
 
     def test_no_input_is_pickled_for_the_worker(self, tmp_path, capsys, monkeypatch):
         # fork hands each worker its inputs; only the worker pickles, to send its outcome

@@ -1,6 +1,7 @@
 import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,41 @@ class TestTokenLayout:
             assert np.array_equal(
                 enc._mean_embeddings(params, layout[rows]), enc._mean_embeddings(params, lists)
             )
+
+    def test_blocks_of_a_long_layout_give_the_one_shot_bits(self):
+        # three full blocks and a short one, each cut to a longest sequence of its own
+        rng = np.random.default_rng(24)
+        params = make_params(vocab=30, d_word=5, seed=24)
+        widths = [9, 23, 4, 15]
+        seqs = [rng.integers(0, 30, size=rng.integers(1, widths[i // enc._BLOCK] + 1)).tolist()
+                for i in range(3 * enc._BLOCK + 17)]
+        for i, width in enumerate(widths):
+            seqs[i * enc._BLOCK] = [i] * width
+        layout = enc.token_layout(seqs)
+        rows = params.E_word[layout.grid]
+        rows[layout.pad] = 0.0
+        one_shot = rows.sum(axis=1) / layout.lengths[:, np.newaxis]
+        means = enc._mean_embeddings(params, layout)
+        assert np.array_equal(means, one_shot)
+        assert np.array_equal(means, loop_mean_embeddings(params, seqs))
+        loop_U = enc._unit_rows(loop_mean_embeddings(params, seqs) @ params.W_txt)[0]
+        assert np.array_equal(enc.encode_texts(params, layout), loop_U)
+
+    def test_encoding_a_long_layout_holds_under_two_blocks_of_padded_rows(self):
+        rng = np.random.default_rng(25)
+        d_word = 16
+        params = make_params(vocab=100, d_word=d_word, d_emb=d_word, seed=25)
+        layout = enc.token_layout(
+            [rng.integers(0, 100, size=rng.integers(1, 51)).tolist() for _ in range(1000)])
+        block_bytes = enc._BLOCK * layout.grid.shape[1] * d_word * 8
+        assert layout.grid.nbytes * d_word > 5 * 2 * block_bytes  # all 1,000 padded rows at once
+        tracemalloc.start()
+        try:
+            enc.encode_texts(params, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * block_bytes
 
 
 def full_loss(params, X, seqs, cfg):

@@ -163,6 +163,18 @@ class TestRanks:
         scores = np.array([[0.5, np.nan, 0.1], [0.3, 0.2, 0.3]])
         assert _ranks(scores, np.array([1, 2])).tolist() == [0, 1]
 
+    def test_columns_rank_as_the_rows_of_the_transpose(self):
+        # t2i ranks count along axis 0 of the similarities, with the same tie and NaN rules
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            n_q, n_c = int(rng.integers(1, 20)), int(rng.integers(2, 20))
+            target = rng.integers(0, n_c, size=n_q)
+            scores = with_some_tied_rows(rng, rng.standard_normal((n_q, n_c)), target)
+            scores[rng.random(scores.shape) < 0.05] = np.nan
+            assert _ranks(scores.T, target, axis=0).tolist() == _ranks(scores, target).tolist()
+        scores = np.array([[0.5, np.nan, 0.1], [0.3, 0.2, 0.3]])
+        assert _ranks(scores.T.copy(), np.array([1, 2]), axis=0).tolist() == [0, 1]
+
     def test_recall_with_some_tied_rows_equals_the_brute_force_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
