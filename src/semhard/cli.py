@@ -86,12 +86,41 @@ def _load(cfg: dict[str, object]) -> Dataset:
     return generate_synthetic(from_config(SyntheticSpec, cfg, seed=cfg["seed"]))
 
 
-class _Outcome:
-    """What a forked worker sends back: the value of its `fn()`, or its error."""
+class _Worker:
+    """`fn()` run in one forked worker while the `with` body runs here. Fork
+    hands the worker `fn` and all it closes over, so no input is pickled, and
+    one message, `fn`'s value or its error, comes back over a one-way pipe.
+    Leaving the block waits for the worker on every path, and the worker's
+    error wins over the body's; a worker that dies without sending fails as
+    one SemhardError naming `what` and its exit code."""
 
-    def __init__(self, what: str, process, reader):
-        self._what, self._process, self._reader = what, process, reader
+    def __init__(self, what: str, fn):
+        self._what, self._fn = what, fn
         self._sent = None  # (returned, value or error), once received
+
+    def __enter__(self):
+        # imported here: `import semhard.cli` would otherwise load multiprocessing
+        from multiprocessing import get_context
+
+        # forked, not spawned, which would import NumPy and this package again
+        ctx = get_context("fork")
+        self._reader, writer = ctx.Pipe(duplex=False)
+
+        def send_outcome():
+            self._reader.close()  # so that this send fails, not blocks, if the parent dies first
+            try:
+                message = (True, self._fn())
+            except Exception as exc:
+                message = (False, exc)
+            writer.send(message)
+
+        self._process = ctx.Process(target=send_outcome)
+        self._process.start()
+        writer.close()  # the worker's copy is then the only one, so its death reads as EOF here
+        return self
+
+    def __exit__(self, *exc_info):
+        self.result()
 
     def poll(self) -> bool:
         """Whether the worker has sent, or died, so that `result()` will not wait."""
@@ -116,39 +145,6 @@ class _Outcome:
         if not returned:
             raise value
         return value
-
-
-@contextmanager
-def _in_worker(what: str, fn):
-    """Yield the outcome of `fn()`, run in one forked worker while the `with`
-    body runs here. Fork hands the worker `fn` and all it closes over, so no
-    input is pickled, and one message comes back over a one-way pipe. Leaving
-    the block waits for the worker on every path, and the worker's error wins
-    over the body's; a worker that dies without sending fails as one
-    SemhardError naming `what` and its exit code."""
-    # imported here: `import semhard.cli` would otherwise load multiprocessing
-    from multiprocessing import get_context
-
-    # forked, not spawned, which would import NumPy and this package again
-    ctx = get_context("fork")
-    reader, writer = ctx.Pipe(duplex=False)
-
-    def send_outcome():
-        reader.close()  # so that this send fails, not blocks, if the parent dies first
-        try:
-            message = (True, fn())
-        except Exception as exc:
-            message = (False, exc)
-        writer.send(message)
-
-    process = ctx.Process(target=send_outcome)
-    process.start()
-    writer.close()  # the worker's copy is then the only one, so its death reads as EOF here
-    outcome = _Outcome(what, process, reader)
-    try:
-        yield outcome
-    finally:
-        outcome.result()
 
 
 def _load_or_generate(cfg: dict[str, object]) -> tuple[Dataset, Dataset]:
@@ -250,7 +246,7 @@ def cmd_svd(args) -> int:
         sem, _ = trainer.corpus_semantics(_load(cfg).captions, pre_cfg, tcfg.svd_k, tcfg.seed)
     else:  # the SVD needs only the texts, so the dataset is checked in a worker meanwhile
         # the check sends back only its error, not the dataset it loaded
-        with _in_worker("the dataset check's", lambda: load_dataset(*files) and None) as checked:
+        with _Worker("the dataset check's", lambda: load_dataset(*files) and None) as checked:
             text = _file_text(files[0], pre_cfg)
             if checked.poll():  # a check that has already failed ends the command before the SVD
                 checked.result()
@@ -282,7 +278,7 @@ def cmd_compare(args) -> int:
     # lmh trains in a worker while this process trains lseh; lmh's error
     # wins over lseh's, as when lmh ran first. The worker sends back only
     # the two numbers read here, not its whole report.
-    with _in_worker("the lmh run's", lmh_best) as lmh_run:
+    with _Worker("the lmh run's", lmh_best) as lmh_run:
         lseh_report = _run_one_training(cfg, out_dir, split, variant="lseh")
     lmh_m_recall, lmh_epoch = lmh_run.result()
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     BadCheckpoint,
+    BadConfigValue,
     DimensionMismatch,
     DuplicateDescriptionId,
     EmptyDataset,
@@ -282,6 +283,7 @@ def _word(prefix: str, *nums: int) -> str:
     return prefix + "".join(_LETTERS[int(c)] for n in nums for c in str(n))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a noise that overflows fails below, unwarned
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Clustered corpus: each cluster has a Gaussian feature center and its
     own caption vocabulary (disjoint across clusters); the remaining tokens
@@ -318,6 +320,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
                 captions.append(" ".join(words))
                 caption_image.append(img)
 
+    if not np.isfinite(features).all():
+        raise BadConfigValue(f"noise={spec.noise} overflows the image features")
     return Dataset(features=features, captions=captions, caption_image=caption_image)
 
 

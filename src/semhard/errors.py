@@ -10,7 +10,7 @@ class AllDocumentsEmpty(SemhardError):
 
 
 class KTooLarge(SemhardError):
-    """Requested truncation rank exceeds min(n_rows, n_cols)."""
+    """The truncation rank is outside 1..min(n, w), or is min(n, w) for a sparse matrix."""
 
 
 class ConvergenceFailure(SemhardError):

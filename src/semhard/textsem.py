@@ -1,10 +1,10 @@
 """Corpus semantics: preprocessing, TF-IDF, truncated SVD, row cosines.
 
 The description corpus is turned into a term-document matrix (raw term
-count x ln(n/df)) and reduced with a truncated SVD by one of three routes:
-ARPACK for a large sparse matrix, one LAPACK SVD for a dense array whose
-sketch would be full width, and randomized subspace iteration otherwise.
-The cosines of the reduced rows are the semantic similarities.
+count x ln(n/df)) and reduced with a truncated SVD whose route follows the
+matrix's form: ARPACK for a sparse matrix; for an array, one LAPACK SVD
+when the sketch would be full width and randomized subspace iteration
+otherwise. The cosines of the reduced rows are the semantic similarities.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ SVD_OVERSAMPLE = 8
 SVD_MIN_ITERS = 4
 SVD_MAX_ITERS = 2000
 SVD_TOL = 1e-12
-
-# truncated_svd uses ARPACK when min(n, w) exceeds this: below it, ARPACK's
-# import costs more time and memory than the subspace iteration it replaces
-ARPACK_MIN_DIM = 1000
 
 
 @dataclass(frozen=True)
@@ -138,41 +134,36 @@ def build_tfidf(docs: list[list[str]]) -> tuple[dict[str, int], TermDocMatrix]:
     return term_to_index, TermDocMatrix((len(docs), len(term_to_index)), columns, lengths)
 
 
-def _canonicalize_signs(V: np.ndarray, B: np.ndarray) -> None:
-    """Flip each V column so its largest-magnitude entry is positive."""
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            V[:, j] = -col
-            B[:, j] = -B[:, j]
-
-
 def truncated_svd(
     M: sp.spmatrix | np.ndarray,
     k: int,
     seed: int = 0,
 ) -> ReducedSemantics:
-    """Top-k singular triplets, to near machine precision, by one of three routes:
+    """Top-k singular triplets, to near machine precision, by the route M's form picks:
 
-    - when min(n, w) > ARPACK_MIN_DIM and k < min(n, w), ARPACK
-      (`scipy.sparse.linalg.svds`, tol=0) from a seeded start vector;
-    - when M is a NumPy array and the sketch below would be full width
-      (l == min(n, w)), one LAPACK SVD (`np.linalg.svd`) of M itself;
-    - otherwise randomized subspace iteration on a sketch of
-      l = k + max(k, SVD_OVERSAMPLE) columns, capped at min(n, w), run past
-      SVD_MIN_ITERS until the singular-value estimates change by less than
-      SVD_TOL. They then match a dense SVD's even on flat spectra; their
-      error is the square of the subspace's, so B is good to about sqrt(SVD_TOL).
+    - a SciPy sparse matrix goes to ARPACK (`scipy.sparse.linalg.svds`,
+      tol=0) from a seeded start vector; it needs k < min(n, w);
+    - a NumPy array whose sketch below would be full width (l == min(n, w))
+      goes to one LAPACK SVD (`np.linalg.svd`) of M itself;
+    - any other array goes to randomized subspace iteration on a sketch of
+      l = k + max(k, SVD_OVERSAMPLE) columns, run past SVD_MIN_ITERS until
+      the singular-value estimates change by less than SVD_TOL. They then
+      match a dense SVD's even on flat spectra; their error is the square
+      of the subspace's, so B is good to about sqrt(SVD_TOL).
 
     Every route gives B = M @ V with each V column's largest-magnitude entry
-    positive. Raises ConvergenceFailure when the chosen solver does not converge.
+    positive. Raises KTooLarge for a k the route cannot compute, and
+    ConvergenceFailure when its solver does not converge.
     """
     n, w = M.shape
-    if not 1 <= k <= min(n, w):
-        raise KTooLarge(f"k={k} exceeds min(n, w)={min(n, w)}")
+    dense = isinstance(M, np.ndarray)
+    k_max = min(n, w) if dense else min(n, w) - 1  # ARPACK needs k < min(n, w)
+    if not 1 <= k <= k_max:
+        raise KTooLarge(f"k={k} is outside 1..{k_max} for the SVD of a {n}x{w}"
+                        f" {'array' if dense else 'sparse matrix'}")
 
     rng = np.random.default_rng(seed)
-    if min(n, w) > ARPACK_MIN_DIM and k < min(n, w):
+    if not dense:
         # imported here: loading scipy.sparse.linalg costs about 10 MB RSS and 0.13 s
         from scipy.sparse.linalg import ArpackNoConvergence, svds
 
@@ -186,7 +177,7 @@ def truncated_svd(
         return _reduced_semantics(M, s, Vt)
 
     l = min(k + max(k, SVD_OVERSAMPLE), min(n, w))
-    if isinstance(M, np.ndarray) and l == min(n, w):
+    if l == min(n, w):
         _, s, Vt = np.linalg.svd(M, full_matrices=False)
         return _reduced_semantics(M, s[:k], Vt[:k])
 
@@ -215,13 +206,12 @@ def truncated_svd(
 
 
 def _reduced_semantics(M, s: np.ndarray, Vt: np.ndarray) -> ReducedSemantics:
-    """Order the k triplets by descending singular value (stable), then
-    B = M @ V with canonical column signs."""
+    """Order the k triplets by descending singular value (stable), flip each
+    V column so its largest-magnitude entry is positive, then B = M @ V."""
     order = np.argsort(-s, kind="stable")
     V = np.ascontiguousarray(Vt[order].T)
-    B = np.asarray(M @ V)
-    _canonicalize_signs(V, B)
-    return ReducedSemantics(B=B, singular_values=s[order], V=V)
+    V *= np.where(V[np.abs(V).argmax(axis=0), np.arange(V.shape[1])] < 0, -1.0, 1.0)
+    return ReducedSemantics(B=np.asarray(M @ V), singular_values=s[order], V=V)
 
 
 def unit_rows(rows: np.ndarray) -> np.ndarray:

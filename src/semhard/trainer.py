@@ -20,7 +20,7 @@ import numpy as np
 from . import encoder as enc
 from .data import CaptionLines, Dataset, SyntheticSpec, minibatches, read_lines
 from .errors import (BadConfigValue, BeforeFirstValidation, EmptyDataset, EmptySequence,
-                     MalformedLine, NonFiniteGradient, UnknownConfigKey)
+                     MalformedLine, NonFiniteGradient, SemhardError, UnknownConfigKey)
 from .evaluation import retrieval_report, write_csv
 from .losses import (
     LossConfig,
@@ -30,7 +30,6 @@ from .losses import (
     semantic_factor_matrix,
 )
 from .textsem import (
-    ARPACK_MIN_DIM,
     PreprocessConfig,
     ReducedSemantics,
     TermDocMatrix,
@@ -38,6 +37,9 @@ from .textsem import (
     preprocess,
     truncated_svd,
 )
+
+# semantics hands the SVD a TF-IDF matrix of at most this many entries as an array
+DENSE_MAX_ENTRIES = 1000 ** 2
 
 
 @dataclass(frozen=True)
@@ -117,15 +119,15 @@ def semantics(text: PreparedText, k_ceiling: int, seed: int) -> ReducedSemantics
     matrix at rank min(k_ceiling, min(n, w) - 1). A vocabulary of one term
     leaves no rank and fails as EmptyDataset before the SVD.
 
-    A matrix of at most ARPACK_MIN_DIM ** 2 entries (8 MB) goes to the SVD
-    as a NumPy array, which spares the `scipy.sparse` import; a larger one
-    as the sparse matrix. min(n, w) > ARPACK_MIN_DIM puts n * w above that
-    cap, so ARPACK never gets an array."""
+    The matrix's size picks its form, and its form picks the solver: one of
+    at most DENSE_MAX_ENTRIES entries (8 MB) goes to the SVD as a NumPy
+    array, which spares the `scipy.sparse` import, and a larger one as the
+    sparse matrix, which ARPACK reduces."""
     if text.vocab_size < 2:
         raise EmptyDataset(f"the train split's vocabulary holds {text.vocab_size} term after"
                            " preprocessing; the SVD needs at least 2")
     n, w = text.tfidf.shape
-    M = text.tfidf.dense() if n * w <= ARPACK_MIN_DIM ** 2 else text.tfidf.matrix
+    M = text.tfidf.dense() if n * w <= DENSE_MAX_ENTRIES else text.tfidf.matrix
     return truncated_svd(M, min(k_ceiling, n - 1, w - 1), seed)
 
 
@@ -203,8 +205,6 @@ def train(
     out_dir = Path(out_dir)
 
     text = prepare_text(train_ds.captions, val_ds.captions, pre_cfg, train_ds.lines, val_ds.lines)
-    sem = semantics(text, cfg.svd_k, cfg.seed) if cfg.loss.variant == "lseh" else None
-
     params = enc.init_params(
         d_img=train_ds.features.shape[1],
         vocab_size=text.vocab_size,
@@ -212,6 +212,12 @@ def train(
         d_emb=cfg.d_emb,
         seed=cfg.seed,
     )
+    with np.errstate(over="raise", invalid="raise"):  # else x / inf embeds each image as zero
+        try:
+            enc.encode_images(params, train_ds.features)
+        except FloatingPointError as exc:
+            raise SemhardError(f"the image features are too large to embed ({exc})") from None
+    sem = semantics(text, cfg.svd_k, cfg.seed) if cfg.loss.variant == "lseh" else None
 
     records: list[tuple[float, float, float]] = []
     hard_neg_logs: list[tuple[list[int], list[int]]] = []

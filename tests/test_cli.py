@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
 from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 
@@ -479,7 +478,7 @@ class TestCompare:
         # a deadlock ends the test session after 60 s instead of hanging it
         faulthandler.dump_traceback_later(60, exit=True, file=sys.__stderr__)
         try:
-            with semhard.cli._in_worker("the test's", lambda: big) as outcome:
+            with semhard.cli._Worker("the test's", lambda: big) as outcome:
                 pass
         finally:
             faulthandler.cancel_dump_traceback_later()
@@ -487,15 +486,14 @@ class TestCompare:
         assert multiprocessing.active_children() == []
 
         # compare's lmh worker sends back the two numbers compare reads, not its report
-        sent, real_in_worker = [], semhard.cli._in_worker
+        sent = []
 
-        @contextmanager
-        def in_worker(what, fn):
-            with real_in_worker(what, fn) as outcome:
-                yield outcome
-            sent.append(outcome.result())
+        class Spy(semhard.cli._Worker):
+            def __exit__(self, *exc_info):
+                super().__exit__(*exc_info)
+                sent.append(self.result())
 
-        monkeypatch.setattr(semhard.cli, "_in_worker", in_worker)
+        monkeypatch.setattr(semhard.cli, "_Worker", Spy)
         code, _, err = run(["compare", "--out", str(tmp_path / "c"), *TINY], capsys)
         assert code == 0, err
         (best, epoch), = sent
@@ -766,6 +764,32 @@ class TestErrorPaths:
                        " the validation similarities hold NaN or inf\n")
         assert not out.exists()
 
+    def test_overflowing_synthetic_features_fail_gen(self, tmp_path, capsys):
+        # unchecked, noise=1e308 warns, writes `inf` into features.txt and exits 0
+        out = tmp_path / "o"
+        code, stdout, err = run(["gen", "--out", str(out), *TINY, "--set", "gen.noise=1e308"],
+                                capsys)
+        assert (code, stdout) == (1, "")
+        assert err == "error: noise=1e+308 overflows the image features\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["train"], ["train", "--set", "loss.variant=lmh"],
+                                         ["compare"]], ids=["train-lseh", "train-lmh", "compare"])
+    def test_features_too_large_to_embed_fail_before_the_svd(self, tmp_path, capsys,
+                                                             monkeypatch, command):
+        # noise=1e200 gives finite features whose squared norms overflow; unchecked,
+        # every image embeds as the zero vector and `train` exits 0
+        svd_calls = []
+        monkeypatch.setattr(semhard.trainer, "truncated_svd", lambda *a: svd_calls.append(a))
+        out = tmp_path / "o"
+        code, stdout, err = run([command[0], "--out", str(out), *TINY, *command[1:],
+                                 "--set", "gen.noise=1e200"], capsys)
+        assert (code, stdout, svd_calls) == (1, "", [])
+        assert err == ("error: the image features are too large to embed"
+                       " (overflow encountered in multiply)\n")
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("command", [["svd"], ["train", "--set", "validation_step=1"]],
                              ids=["svd", "train-lseh"])
     def test_one_term_vocabulary_names_its_size(self, tmp_path, capsys, monkeypatch, command):
@@ -869,7 +893,7 @@ class TestErrorPaths:
 
 def test_import_loads_no_arpack():
     # scipy.sparse.linalg costs about 10 MB RSS and 0.13 s to import; only
-    # truncated_svd's ARPACK branch may load it. scipy.linalg alone raised RSS
+    # the SVD of a sparse matrix may load it. scipy.linalg alone raised RSS
     # after `import semhard.cli` from 49.7 to 57.4 MB and took 0.06 s, which is
     # why small inputs use NumPy's SVD and not a LAPACK route through SciPy.
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -920,7 +944,7 @@ def _tiny_files(tmp_path) -> list[str]:
 
 
 def test_commands_without_an_svd_load_no_scipy(tmp_path):
-    # an `svd` whose TF-IDF matrix holds more than ARPACK_MIN_DIM ** 2 entries
+    # an `svd` whose TF-IDF matrix holds more than DENSE_MAX_ENTRIES entries
     # (1,875 x 865 at gen.clusters=15) builds it sparse, which shows that the
     # check sees SciPy load when it does
     lmh = [*_tiny_files(tmp_path), "--set", "loss.variant=lmh"]
@@ -935,7 +959,7 @@ def test_commands_without_an_svd_load_no_scipy(tmp_path):
 
 
 def test_desk_scale_svd_commands_load_no_scipy(tmp_path):
-    # a TF-IDF matrix under ARPACK_MIN_DIM ** 2 entries reaches the SVD as a NumPy array
+    # a TF-IDF matrix of at most DENSE_MAX_ENTRIES entries reaches the SVD as a NumPy array
     files = _tiny_files(tmp_path)
     checkpoint = str(tmp_path / "lseh" / "best.ckpt")
     lines = _modules_after(tmp_path, [

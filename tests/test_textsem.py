@@ -208,27 +208,24 @@ class TestTruncatedSvd:
         assert np.array_equal(a.B, b.B)
         assert np.array_equal(a.singular_values, b.singular_values)
 
+    @pytest.mark.parametrize("form,k", [(np.asarray, 3), (np.asarray, 20), (sp.csr_matrix, 3)],
+                             ids=["loop", "lapack", "arpack"])
+    def test_each_v_column_peaks_positive(self, form, k):
+        # the sign rule every route shares: V's largest-magnitude entry per column is positive
+        M = form(np.random.default_rng(23).standard_normal((30, 20)))
+        sem = truncated_svd(M, k, seed=0)
+        assert (sem.V[np.abs(sem.V).argmax(axis=0), np.arange(k)] > 0).all()
+        assert np.array_equal(sem.B, M @ sem.V)
+
     def test_nonincreasing_singular_values(self):
         rng = np.random.default_rng(19)
         sem = truncated_svd(rng.standard_normal((20, 25)), 8, seed=0)
         assert np.all(np.diff(sem.singular_values) <= 1e-12)
 
-    def test_default_split_takes_few_iterations(self, monkeypatch):
-        # the default train split's 800x500 TF-IDF matrix at k=400: a sketch of
-        # k + 8 columns took about 100 QR steps to settle, one of 2k columns takes 6
-        train, _ = split_dataset(generate_synthetic(SyntheticSpec()), 0.15, 0)
-        _, tdm = build_tfidf([preprocess(c) for c in train.captions])
-        A = tdm.matrix
-        calls, real = [], np.linalg.qr
-        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(1) or real(*a, **kw))
-        sem = truncated_svd(A, 400, seed=0)
-        assert A.shape == (800, 500) and len(calls) <= 6
-        s_true = np.linalg.svd(A.toarray(), compute_uv=False)[:400]
-        assert np.max(np.abs(sem.singular_values - s_true) / s_true) < 1e-12
-
 
 class TestArpackPath:
-    """Inputs with min(n, w) > ARPACK_MIN_DIM and k < min(n, w) go to svds."""
+    """Every sparse matrix goes to svds, whatever its shape, and needs
+    k < min(n, w); an array never does."""
 
     K = 16
 
@@ -273,14 +270,30 @@ class TestArpackPath:
         for x, y in ((a.B, b.B), (a.V, b.V), (a.singular_values, b.singular_values)):
             assert np.array_equal(x, y)
 
-    def test_full_rank_k_takes_the_numpy_path(self, monkeypatch, svds_calls):
-        # svds needs k < min(n, w); the threshold is lowered to keep this small
-        monkeypatch.setattr(textsem, "ARPACK_MIN_DIM", 20)
-        A = np.random.default_rng(6).standard_normal((40, 30))
-        sem = truncated_svd(A, 30, seed=0)
+    @pytest.mark.parametrize("shape,k", [((30, 20), 2), ((30, 20), 15), ((30, 20), 19),
+                                         ((600, 500), 8)],
+                             ids=["30x20-k2", "30x20-k15", "30x20-k19", "600x500-k8"])
+    def test_every_sparse_input_goes_to_svds(self, svds_calls, shape, k):
+        # all under 1000 x 1000; k=15 on 30 x 20 would be a full-width sketch for an array
+        A = sp.random(*shape, density=0.2, format="csr", random_state=8)
+        sem = truncated_svd(A, k, seed=0)
+        assert svds_calls == [shape]
+        assert np.allclose(sem.singular_values, dense_svd_oracle(A.toarray(), k), rtol=1e-10)
+
+    def test_sparse_input_at_full_rank_k_is_k_too_large(self, svds_calls):
+        A = sp.csr_matrix(np.random.default_rng(8).standard_normal((30, 20)))
+        with pytest.raises(KTooLarge, match=r"k=20 is outside 1\.\.19 .* 30x20 sparse matrix"):
+            truncated_svd(A, 20, seed=0)
         assert svds_calls == []
-        assert np.allclose(sem.singular_values, dense_svd_oracle(A, 30), rtol=1e-8)
+
+    def test_an_array_never_reaches_svds(self, svds_calls):
+        # k=16 runs the loop; k=30 is full rank, which svds cannot compute
+        A = np.random.default_rng(6).standard_normal((40, 30))
+        for k in (16, 30):
+            sem = truncated_svd(A, k, seed=0)
+            assert np.allclose(sem.singular_values, dense_svd_oracle(A, k), rtol=1e-8)
         assert np.allclose(sem.B @ sem.V.T, A, atol=1e-10)
+        assert svds_calls == []
 
     def test_no_convergence_is_convergence_failure(self, sparse, monkeypatch):
         import scipy.sparse.linalg
@@ -308,7 +321,8 @@ class TestDenseRoutes:
     def cosine_error(A, sem, k):
         """Largest cosine error of B's rows against the oracle's U_k S_k,
         after checking the singular values and B = A @ V."""
-        U, s, _ = np.linalg.svd(A, full_matrices=False)
+        U, s, _ = np.linalg.svd(A if isinstance(A, np.ndarray) else A.toarray(),
+                                full_matrices=False)
         assert np.max(np.abs(sem.singular_values - s[:k]) / s[:k]) < 1e-10
         assert np.array_equal(sem.B, A @ sem.V)
         return np.max(np.abs(cosine_matrix(sem.B) - cosine_matrix(U[:, :k] * s[:k])))
@@ -331,15 +345,8 @@ class TestDenseRoutes:
         sem = truncated_svd(A, 8, seed=seed)
         assert len(qr_calls) > textsem.SVD_MIN_ITERS
         assert self.cosine_error(A, sem, 8) < 1e-5
-        # the sparse matrix runs the same loop: the two agree far closer than either to the oracle
-        sparse = truncated_svd(tdm.matrix, 8, seed=seed)
-        assert np.max(np.abs(cosine_matrix(sem.B) - cosine_matrix(sparse.B))) < 1e-12
-
-    def test_sparse_input_at_full_width_keeps_the_loop(self, qr_calls):
-        A = sp.csr_matrix(np.random.default_rng(8).standard_normal((30, 20)))
-        sem = truncated_svd(A, 15, seed=0)
-        assert qr_calls
-        assert np.allclose(sem.singular_values, dense_svd_oracle(A.toarray(), 15), rtol=1e-10)
+        # the same split as a sparse matrix goes to ARPACK, which meets the 1e-9 gate
+        assert self.cosine_error(tdm.matrix, truncated_svd(tdm.matrix, 8, seed=seed), 8) < 1e-9
 
 
 class TestSemanticSimilarity:

@@ -187,13 +187,13 @@ class TestPrepareText:
         assert svd_calls == [2]
 
     def test_semantics_passes_an_array_up_to_the_cap(self, monkeypatch):
-        # 3 x 7 = 21 entries: an array under a cap of 5 ** 2, the sparse matrix over 4 ** 2
+        # 3 x 7 = 21 entries: an array at a cap of 21, the sparse matrix over a cap of 20
         inputs, real = [], semhard.trainer.truncated_svd
         monkeypatch.setattr(semhard.trainer, "truncated_svd",
                             lambda M, *a: inputs.append(M) or real(M, *a))
         text = prepare_text(self.CAPTIONS, [], PreprocessConfig())
-        for side in (5, 4):
-            monkeypatch.setattr(semhard.trainer, "ARPACK_MIN_DIM", side)
+        for cap in (21, 20):
+            monkeypatch.setattr(semhard.trainer, "DENSE_MAX_ENTRIES", cap)
             semhard.trainer.semantics(text, 2, 0)
         dense, sparse = inputs
         assert type(dense) is np.ndarray and sparse.format == "csr"
