@@ -15,7 +15,7 @@ class KTooLarge(SemhardError):
 
 class ConvergenceFailure(SemhardError):
     """The truncated SVD did not converge: the subspace iteration's singular
-    values did not settle within its iteration cap, or ARPACK gave up."""
+    values did not settle within its iteration cap, or ARPACK gave up or failed."""
 
 
 class ShapeMismatch(SemhardError):

@@ -75,7 +75,7 @@ def _ranks(scores: np.ndarray, target: np.ndarray, axis: int = 1) -> np.ndarray:
     or a column (axis=0): by descending score, ties to the lower index."""
     q = np.arange(len(target))
     t = np.expand_dims(scores[q, target] if axis == 1 else scores[target, q], axis)
-    ranks = np.count_nonzero(scores > t, axis=axis)
+    ranks = np.add.reduce(scores > t, axis=axis, dtype=np.int32)  # faster than count_nonzero
     equal = scores == t
     if np.count_nonzero(equal) > np.count_nonzero(t == t):  # a target's score recurs (NaN != NaN)
         tied = np.flatnonzero(np.count_nonzero(equal, axis=axis) > 1)

@@ -2,8 +2,8 @@
 
 The description corpus is turned into a term-document matrix (raw term
 count x ln(n/df)) and reduced with a truncated SVD whose route follows the
-matrix's form: ARPACK for a sparse matrix; for an array, one LAPACK SVD
-when the sketch would be full width and randomized subspace iteration
+matrix's form: ARPACK on M^T M for a sparse matrix; for an array, one LAPACK
+SVD when the sketch would be full width and randomized subspace iteration
 otherwise. The cosines of the reduced rows are the semantic similarities.
 """
 
@@ -141,8 +141,9 @@ def truncated_svd(
 ) -> ReducedSemantics:
     """Top-k singular triplets, to near machine precision, by the route M's form picks:
 
-    - a SciPy sparse matrix goes to ARPACK (`scipy.sparse.linalg.svds`,
-      tol=0) from a seeded start vector; it needs k < min(n, w);
+    - a SciPy sparse matrix goes to ARPACK (`scipy.sparse.linalg.eigsh`, tol=0,
+      seeded start vector) on the w x w operator M^T M: V is its top k
+      eigenvectors and sigma = sqrt(max(lambda, 0)); it needs k < min(n, w);
     - a NumPy array whose sketch below would be full width (l == min(n, w))
       goes to one LAPACK SVD (`np.linalg.svd`) of M itself;
     - any other array goes to randomized subspace iteration on a sketch of
@@ -153,7 +154,7 @@ def truncated_svd(
 
     Every route gives B = M @ V with each V column's largest-magnitude entry
     positive. Raises KTooLarge for a k the route cannot compute, and
-    ConvergenceFailure when its solver does not converge.
+    ConvergenceFailure when its solver does not converge or ARPACK fails.
     """
     n, w = M.shape
     dense = isinstance(M, np.ndarray)
@@ -165,16 +166,14 @@ def truncated_svd(
     rng = np.random.default_rng(seed)
     if not dense:
         # imported here: loading scipy.sparse.linalg costs about 10 MB RSS and 0.13 s
-        from scipy.sparse.linalg import ArpackNoConvergence, svds
+        from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
+        gram = LinearOperator((w, w), matvec=lambda x: M.T @ (M @ x), dtype=M.dtype)
         try:
-            _, s, Vt = svds(M, k=k, tol=0, v0=rng.standard_normal(min(n, w)),
-                            return_singular_vectors="vh")
-        except ArpackNoConvergence as exc:
-            raise ConvergenceFailure(
-                f"ARPACK did not converge for k={k} on a {n}x{w} matrix"
-            ) from exc
-        return _reduced_semantics(M, s, Vt)
+            lam, V = eigsh(gram, k=k, tol=0, v0=rng.standard_normal(w))
+        except ArpackError as exc:
+            raise ConvergenceFailure(f"ARPACK failed for k={k} on a {n}x{w} matrix: {exc}") from exc
+        return _reduced_semantics(M, np.sqrt(np.maximum(lam, 0)), V.T)
 
     l = min(k + max(k, SVD_OVERSAMPLE), min(n, w))
     if l == min(n, w):

@@ -122,12 +122,16 @@ def semantics(text: PreparedText, k_ceiling: int, seed: int) -> ReducedSemantics
     The matrix's size picks its form, and its form picks the solver: one of
     at most DENSE_MAX_ENTRIES entries (8 MB) goes to the SVD as a NumPy
     array, which spares the `scipy.sparse` import, and a larger one as the
-    sparse matrix, which ARPACK reduces."""
+    sparse matrix, which ARPACK reduces. A zero matrix, where every term
+    occurs in every caption, fails as EmptyDataset before the SVD too."""
     if text.vocab_size < 2:
         raise EmptyDataset(f"the train split's vocabulary holds {text.vocab_size} term after"
                            " preprocessing; the SVD needs at least 2")
     n, w = text.tfidf.shape
     M = text.tfidf.dense() if n * w <= DENSE_MAX_ENTRIES else text.tfidf.matrix
+    if M.max() == 0:  # the weights are >= 0
+        raise EmptyDataset(f"no term is missing from any of the train split's {n} captions,"
+                           " so every idf is 0 and the TF-IDF matrix is zero")
     return truncated_svd(M, min(k_ceiling, n - 1, w - 1), seed)
 
 

@@ -1,6 +1,7 @@
 import faulthandler
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -802,6 +803,21 @@ class TestErrorPaths:
         assert (code, stdout, svd_calls) == (1, "", [])
         assert err == ("error: the train split's vocabulary holds 1 term after preprocessing;"
                        " the SVD needs at least 2\n")
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("command", [["svd"], ["train", "--set", "validation_step=1"]],
+                             ids=["svd", "train-lseh"])
+    def test_zero_tfidf_names_its_cause(self, tmp_path, capsys, command):
+        # every caption holds both terms, so every idf is 0; unchecked, `svd` wrote a
+        # zero B and lseh `train` trained as lmh
+        data = write_corpus(tmp_path, ["red kite", "kite red"] * 3)
+        out = tmp_path / "o"
+        code, stdout, err = run([command[0], "--out", str(out), *TINY, *command[1:], *data],
+                                capsys)
+        assert (code, stdout) == (1, "")
+        assert re.fullmatch(r"error: no term is missing from any of the train split's \d+"
+                            r" captions, so every idf is 0 and the TF-IDF matrix is zero\n", err)
         assert not out.exists()
         assert multiprocessing.active_children() == []
 

@@ -6,7 +6,8 @@ import scipy.sparse as sp
 
 from semhard import textsem
 from semhard.data import SyntheticSpec, generate_synthetic, split_dataset, write_matrices
-from semhard.errors import AllDocumentsEmpty, BadCheckpoint, ConvergenceFailure, KTooLarge
+from semhard.errors import (AllDocumentsEmpty, BadCheckpoint, ConvergenceFailure, KTooLarge,
+                            SemhardError)
 from semhard.stemming import stem
 from semhard.textsem import (
     PreprocessConfig,
@@ -224,8 +225,8 @@ class TestTruncatedSvd:
 
 
 class TestArpackPath:
-    """Every sparse matrix goes to svds, whatever its shape, and needs
-    k < min(n, w); an array never does."""
+    """Every sparse matrix goes to ARPACK's eigsh on the w x w operator M^T M,
+    whatever its shape, and needs k < min(n, w); an array never does."""
 
     K = 16
 
@@ -235,22 +236,22 @@ class TestArpackPath:
         return A, np.linalg.svd(A.toarray(), compute_uv=False)
 
     @pytest.fixture
-    def svds_calls(self, monkeypatch):
+    def eigsh_calls(self, monkeypatch):
         import scipy.sparse.linalg
 
-        calls, real = [], scipy.sparse.linalg.svds
+        calls, real = [], scipy.sparse.linalg.eigsh
 
         def counting(*args, **kwargs):
             calls.append(args[0].shape)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "svds", counting)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
         return calls
 
-    def test_matches_dense_oracle(self, sparse, svds_calls):
+    def test_matches_dense_oracle(self, sparse, eigsh_calls):
         A, s_true = sparse
         sem = truncated_svd(A, self.K, seed=4)
-        assert svds_calls == [A.shape]
+        assert eigsh_calls == [(1100, 1100)]
         assert np.allclose(sem.singular_values, s_true[: self.K], rtol=1e-8, atol=0)
         assert np.array_equal(sem.B, A @ sem.V)
         assert np.allclose(sem.V.T @ sem.V, np.eye(self.K), atol=1e-10)
@@ -271,29 +272,62 @@ class TestArpackPath:
             assert np.array_equal(x, y)
 
     @pytest.mark.parametrize("shape,k", [((30, 20), 2), ((30, 20), 15), ((30, 20), 19),
-                                         ((600, 500), 8)],
-                             ids=["30x20-k2", "30x20-k15", "30x20-k19", "600x500-k8"])
-    def test_every_sparse_input_goes_to_svds(self, svds_calls, shape, k):
-        # all under 1000 x 1000; k=15 on 30 x 20 would be a full-width sketch for an array
+                                         ((600, 500), 8), ((200, 500), 50)],
+                             ids=["30x20-k2", "30x20-k15", "30x20-k19", "600x500-k8",
+                                  "200x500-k50-wide"])
+    def test_every_sparse_input_goes_to_svds(self, eigsh_calls, shape, k):
+        # all under 1000 x 1000; k=15 on 30 x 20 would be a full-width sketch for an
+        # array; a wide input's operator is still w x w, with w - n zero eigenvalues
         A = sp.random(*shape, density=0.2, format="csr", random_state=8)
         sem = truncated_svd(A, k, seed=0)
-        assert svds_calls == [shape]
-        assert np.allclose(sem.singular_values, dense_svd_oracle(A.toarray(), k), rtol=1e-10)
+        assert eigsh_calls == [(shape[1], shape[1])]
+        U, s, _ = np.linalg.svd(A.toarray(), full_matrices=False)
+        assert np.allclose(sem.singular_values, s[:k], rtol=1e-10)
+        assert np.max(np.abs(cosine_matrix(sem.B) - cosine_matrix(U[:, :k] * s[:k]))) < 1e-9
 
-    def test_sparse_input_at_full_rank_k_is_k_too_large(self, svds_calls):
+    def test_k_above_the_rank_clamps_negative_eigenvalues(self, eigsh_calls):
+        # rank 5: ARPACK returns eigenvalues of M^T M a little below 0 for the rest
+        rng = np.random.default_rng(0)
+        A = sp.csr_matrix(rng.standard_normal((60, 5)) @ rng.standard_normal((5, 40)))
+        sem = truncated_svd(A, 12, seed=0)
+        assert eigsh_calls == [(40, 40)]
+        s = sem.singular_values
+        assert np.all(s >= 0) and np.all(np.diff(s) <= 0)
+        assert np.allclose(s[:5], dense_svd_oracle(A.toarray(), 5), rtol=1e-10)
+        assert np.all(np.isfinite(sem.B))
+
+    def test_sparse_route_makes_no_dense_svd(self, sparse, monkeypatch):
+        # svds ends in a dense SVD of the n x k block M @ V, which set the peak
+        # memory of `svd` on large inputs
+        import scipy.linalg
+        import scipy.sparse.linalg
+
+        calls = []
+        for module, name in ((np.linalg, "svd"), (scipy.linalg, "svd"),
+                             (scipy.sparse.linalg, "svds")):
+            monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a))
+        truncated_svd(sparse[0], self.K, seed=4)
+        assert calls == []
+
+    def test_zero_matrix_is_a_semhard_error(self):
+        # ARPACK stops on a zero start vector after the first product with M^T M
+        with pytest.raises(SemhardError, match=r"k=8 on a 1200x1000 matrix"):
+            truncated_svd(sp.csr_matrix((1200, 1000)), 8)
+
+    def test_sparse_input_at_full_rank_k_is_k_too_large(self, eigsh_calls):
         A = sp.csr_matrix(np.random.default_rng(8).standard_normal((30, 20)))
         with pytest.raises(KTooLarge, match=r"k=20 is outside 1\.\.19 .* 30x20 sparse matrix"):
             truncated_svd(A, 20, seed=0)
-        assert svds_calls == []
+        assert eigsh_calls == []
 
-    def test_an_array_never_reaches_svds(self, svds_calls):
-        # k=16 runs the loop; k=30 is full rank, which svds cannot compute
+    def test_an_array_never_reaches_svds(self, eigsh_calls):
+        # k=16 runs the loop; k=30 is full rank, which ARPACK cannot compute
         A = np.random.default_rng(6).standard_normal((40, 30))
         for k in (16, 30):
             sem = truncated_svd(A, k, seed=0)
             assert np.allclose(sem.singular_values, dense_svd_oracle(A, k), rtol=1e-8)
         assert np.allclose(sem.B @ sem.V.T, A, atol=1e-10)
-        assert svds_calls == []
+        assert eigsh_calls == []
 
     def test_no_convergence_is_convergence_failure(self, sparse, monkeypatch):
         import scipy.sparse.linalg
@@ -301,7 +335,7 @@ class TestArpackPath:
         def stalls(*args, **kwargs):
             raise scipy.sparse.linalg.ArpackNoConvergence("stalled", None, None)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "svds", stalls)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalls)
         with pytest.raises(ConvergenceFailure, match=r"k=16 on a 1200x1100"):
             truncated_svd(sparse[0], self.K, seed=4)
 

@@ -207,6 +207,16 @@ class TestPrepareText:
             semhard.trainer.semantics(text, 400, 0)
         assert svd_calls == []
 
+    @pytest.mark.parametrize("cap", [100, 0], ids=["array", "sparse"])
+    def test_zero_tfidf_fails_before_the_svd(self, svd_calls, monkeypatch, cap):
+        # every term in every caption: each idf is ln(n/n) = 0, so M is zero in either form
+        monkeypatch.setattr(semhard.trainer, "DENSE_MAX_ENTRIES", cap)
+        text = prepare_text(["red kite", "kite red", "red red kite"], [], PreprocessConfig())
+        with pytest.raises(EmptyDataset, match="no term is missing from any of the train"
+                                               " split's 3 captions, so every idf is 0"):
+            semhard.trainer.semantics(text, 400, 0)
+        assert svd_calls == []
+
     @pytest.mark.parametrize("train_extra,val,message", EMPTY_CAPTION_CASES)
     def test_empty_caption_fails_before_the_svd(self, svd_calls, train_extra, val, message):
         with pytest.raises(EmptySequence, match=message):
