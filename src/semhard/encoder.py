@@ -149,13 +149,11 @@ def _mean_embeddings(params: ModelParams, layout: TokenLayout) -> np.ndarray:
     """Mean word embedding per sequence. Zero-padded rows summed in token
     order, then divided, equal a per-row mean bit for bit.
 
-    A layout of more than _BLOCK sequences is summed one block at a time,
-    each cut to its own longest sequence, into one sequences x d_word array:
-    only one block's padded rows exist at once, where the whole layout's
-    would take sequences x longest x d_word floats."""
+    The layout is summed _BLOCK sequences at a time, each block cut to its
+    own longest sequence, into one sequences x d_word array: only one
+    block's padded rows exist at once, where the whole layout's would take
+    sequences x longest x d_word floats. A training batch is one block."""
     n = len(layout.lengths)
-    if n <= _BLOCK:
-        return _padded_rows(params.E_word, layout).sum(axis=1) / layout.lengths[:, np.newaxis]
     sums = np.empty((n, params.E_word.shape[1]))
     for lo in range(0, n, _BLOCK):
         _padded_rows(params.E_word, layout[lo:lo + _BLOCK]).sum(axis=1, out=sums[lo:lo + _BLOCK])

@@ -10,7 +10,7 @@ class AllDocumentsEmpty(SemhardError):
 
 
 class KTooLarge(SemhardError):
-    """The truncation rank is outside 1..min(n, w), or is min(n, w) for a sparse matrix."""
+    """The truncation rank is outside 1..min(n, w) - 1."""
 
 
 class ConvergenceFailure(SemhardError):

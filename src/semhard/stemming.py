@@ -78,6 +78,8 @@ def _replace_longest(word, rules, min_measure):
     return word
 
 
+_STEP1A_RULES = [("sses", "ss"), ("ies", "i"), ("ss", "ss"), ("s", "")]
+
 _STEP2_RULES = [
     ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
     ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
@@ -91,22 +93,10 @@ _STEP3_RULES = [
     ("ical", "ic"), ("ful", ""), ("ness", ""),
 ]
 
-_STEP4_SUFFIXES = [
+_STEP4_RULES = [(suffix, "") for suffix in (
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-]
-
-
-def _step1a(word: str) -> str:
-    if word.endswith("sses"):
-        return word[:-2]
-    if word.endswith("ies"):
-        return word[:-2]
-    if word.endswith("ss"):
-        return word
-    if word.endswith("s"):
-        return word[:-1]
-    return word
+)]
 
 
 def _step1b(word: str) -> str:
@@ -137,18 +127,11 @@ def _step1c(word: str) -> str:
 
 
 def _step4(word: str) -> str:
-    best = None
-    for suffix in _STEP4_SUFFIXES:
-        if word.endswith(suffix) and (best is None or len(suffix) > len(best)):
-            best = suffix
-    if best is None:
+    # no other suffix ends in "ion", so it is the longest match whenever it matches;
+    # it drops only after s or t
+    if word.endswith("ion") and not word.endswith(("sion", "tion")):
         return word
-    stem = word[: len(word) - len(best)]
-    if _measure(stem) > 1:
-        if best == "ion" and not stem.endswith(("s", "t")):
-            return word
-        return stem
-    return word
+    return _replace_longest(word, _STEP4_RULES, 1)
 
 
 def _step5a(word: str) -> str:
@@ -175,7 +158,7 @@ def stem(word: str) -> str:
     """
     if len(word) <= 2:
         return word
-    word = _step1a(word)
+    word = _replace_longest(word, _STEP1A_RULES, -1)
     word = _step1b(word)
     word = _step1c(word)
     word = _replace_longest(word, _STEP2_RULES, 0)

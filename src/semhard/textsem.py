@@ -143,7 +143,7 @@ def truncated_svd(
 
     - a SciPy sparse matrix goes to ARPACK (`scipy.sparse.linalg.eigsh`, tol=0,
       seeded start vector) on the w x w operator M^T M: V is its top k
-      eigenvectors and sigma = sqrt(max(lambda, 0)); it needs k < min(n, w);
+      eigenvectors and sigma = sqrt(max(lambda, 0));
     - a NumPy array whose sketch below would be full width (l == min(n, w))
       goes to one LAPACK SVD (`np.linalg.svd`) of M itself;
     - any other array goes to randomized subspace iteration on a sketch of
@@ -152,15 +152,15 @@ def truncated_svd(
       match a dense SVD's even on flat spectra; their error is the square
       of the subspace's, so B is good to about sqrt(SVD_TOL).
 
-    Every route gives B = M @ V with each V column's largest-magnitude entry
-    positive. Raises KTooLarge for a k the route cannot compute, and
-    ConvergenceFailure when its solver does not converge or ARPACK fails.
+    Every route needs 1 <= k < min(n, w), the rank ARPACK can compute, and
+    gives B = M @ V with each V column's largest-magnitude entry positive.
+    Raises KTooLarge for any other k, and ConvergenceFailure when the
+    subspace iteration does not converge or ARPACK fails.
     """
     n, w = M.shape
     dense = isinstance(M, np.ndarray)
-    k_max = min(n, w) if dense else min(n, w) - 1  # ARPACK needs k < min(n, w)
-    if not 1 <= k <= k_max:
-        raise KTooLarge(f"k={k} is outside 1..{k_max} for the SVD of a {n}x{w}"
+    if not 1 <= k < min(n, w):
+        raise KTooLarge(f"k={k} is outside 1..{min(n, w) - 1} for the SVD of a {n}x{w}"
                         f" {'array' if dense else 'sparse matrix'}")
 
     rng = np.random.default_rng(seed)

@@ -169,8 +169,10 @@ class TestTruncatedSvd:
         assert np.linalg.norm(A - recon, "fro") <= 1e-8
 
     def test_k_too_large(self):
-        with pytest.raises(KTooLarge):
-            truncated_svd(np.eye(4), 5)
+        # every form needs k < min(n, w), the rank trainer.semantics asks for
+        for k in (4, 5):
+            with pytest.raises(KTooLarge, match=rf"k={k} is outside 1\.\.3 .* 4x4 array"):
+                truncated_svd(np.eye(4), k)
 
     def test_v_orthonormal_and_b_equals_av(self):
         rng = np.random.default_rng(11)
@@ -209,7 +211,7 @@ class TestTruncatedSvd:
         assert np.array_equal(a.B, b.B)
         assert np.array_equal(a.singular_values, b.singular_values)
 
-    @pytest.mark.parametrize("form,k", [(np.asarray, 3), (np.asarray, 20), (sp.csr_matrix, 3)],
+    @pytest.mark.parametrize("form,k", [(np.asarray, 3), (np.asarray, 19), (sp.csr_matrix, 3)],
                              ids=["loop", "lapack", "arpack"])
     def test_each_v_column_peaks_positive(self, form, k):
         # the sign rule every route shares: V's largest-magnitude entry per column is positive
@@ -226,7 +228,7 @@ class TestTruncatedSvd:
 
 class TestArpackPath:
     """Every sparse matrix goes to ARPACK's eigsh on the w x w operator M^T M,
-    whatever its shape, and needs k < min(n, w); an array never does."""
+    whatever its shape; an array never does."""
 
     K = 16
 
@@ -275,7 +277,7 @@ class TestArpackPath:
                                          ((600, 500), 8), ((200, 500), 50)],
                              ids=["30x20-k2", "30x20-k15", "30x20-k19", "600x500-k8",
                                   "200x500-k50-wide"])
-    def test_every_sparse_input_goes_to_svds(self, eigsh_calls, shape, k):
+    def test_every_sparse_input_goes_to_eigsh(self, eigsh_calls, shape, k):
         # all under 1000 x 1000; k=15 on 30 x 20 would be a full-width sketch for an
         # array; a wide input's operator is still w x w, with w - n zero eigenvalues
         A = sp.random(*shape, density=0.2, format="csr", random_state=8)
@@ -297,8 +299,8 @@ class TestArpackPath:
         assert np.all(np.isfinite(sem.B))
 
     def test_sparse_route_makes_no_dense_svd(self, sparse, monkeypatch):
-        # svds ends in a dense SVD of the n x k block M @ V, which set the peak
-        # memory of `svd` on large inputs
+        # V is eigsh's eigenvectors: no dense SVD runs, and no svds, which ends in a
+        # dense SVD of the n x k block M @ V that set the peak memory of `svd`
         import scipy.linalg
         import scipy.sparse.linalg
 
@@ -320,13 +322,12 @@ class TestArpackPath:
             truncated_svd(A, 20, seed=0)
         assert eigsh_calls == []
 
-    def test_an_array_never_reaches_svds(self, eigsh_calls):
-        # k=16 runs the loop; k=30 is full rank, which ARPACK cannot compute
+    def test_an_array_never_reaches_eigsh(self, eigsh_calls):
+        # k=16 runs the loop; k=29 is a full-width sketch, one LAPACK SVD
         A = np.random.default_rng(6).standard_normal((40, 30))
-        for k in (16, 30):
+        for k in (16, 29):
             sem = truncated_svd(A, k, seed=0)
             assert np.allclose(sem.singular_values, dense_svd_oracle(A, k), rtol=1e-8)
-        assert np.allclose(sem.B @ sem.V.T, A, atol=1e-10)
         assert eigsh_calls == []
 
     def test_no_convergence_is_convergence_failure(self, sparse, monkeypatch):
@@ -381,6 +382,12 @@ class TestDenseRoutes:
         assert self.cosine_error(A, sem, 8) < 1e-5
         # the same split as a sparse matrix goes to ARPACK, which meets the 1e-9 gate
         assert self.cosine_error(tdm.matrix, truncated_svd(tdm.matrix, 8, seed=seed), 8) < 1e-9
+
+    def test_loop_at_its_iteration_cap_is_convergence_failure(self, monkeypatch):
+        monkeypatch.setattr(textsem, "SVD_MAX_ITERS", 1)
+        A = np.random.default_rng(9).standard_normal((40, 30))
+        with pytest.raises(ConvergenceFailure, match=r"k=3 on a 40x30 matrix"):
+            truncated_svd(A, 3)
 
 
 class TestSemanticSimilarity:
