@@ -204,15 +204,13 @@ def _run_one_training(cfg, out_dir, split, variant=None):
     )
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args)
+def cmd_train(args, cfg: dict[str, object]) -> int:
     report = _run_one_training(cfg, args.out, _load_or_generate(cfg))
     print(f"best_m_recall={report.best_m_recall:.4f} at_epoch={report.best_epoch:.4f}")
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_config(args)
+def cmd_eval(args, cfg: dict[str, object]) -> int:
     train_ds, val_ds = _load_or_generate(cfg)
     trainer.check_val_split(val_ds)
     params, text = _checkpoint_text(args.checkpoint, cfg, train_ds, val_ds)
@@ -237,8 +235,7 @@ def _file_text(path: str, pre_cfg: PreprocessConfig) -> trainer.PreparedText:
     return trainer.prepare_text(captions, [], pre_cfg, lines)
 
 
-def cmd_svd(args) -> int:
-    cfg = _load_config(args)
+def cmd_svd(args, cfg: dict[str, object]) -> int:
     tcfg = train_config_from_dict(cfg)
     pre_cfg = _preprocess_config(cfg)
     files = _data_files(cfg)
@@ -257,8 +254,7 @@ def cmd_svd(args) -> int:
     return 0
 
 
-def cmd_gen(args) -> int:
-    cfg = _load_config(args)
+def cmd_gen(args, cfg: dict[str, object]) -> int:
     ds = generate_synthetic(from_config(SyntheticSpec, cfg, seed=cfg["seed"]))
     out = Path(args.out)
     save_dataset(ds, out / "captions.tsv", out / "features.txt")
@@ -266,8 +262,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    cfg = _load_config(args)
+def cmd_compare(args, cfg: dict[str, object]) -> int:
     split = _load_or_generate(cfg)
     out_dir = Path(args.out)
 
@@ -304,8 +299,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_diag(args) -> int:
-    cfg = _load_config(args)
+def cmd_diag(args, cfg: dict[str, object]) -> int:
     tcfg = train_config_from_dict(cfg)
     if tcfg.loss.variant == "lsh":
         raise SemhardError("diagnostics need a max-of-hinges loss variant")
@@ -356,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(args, _load_config(args))
     except (SemhardError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

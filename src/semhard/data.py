@@ -80,12 +80,16 @@ class Dataset:
 
 
 def read_lines(path: str | Path) -> list[str]:
-    """The lines of a UTF-8 file; a byte that is not UTF-8 fails as MalformedLine at `path:line`."""
-    try:
-        return Path(path).read_text(encoding="utf-8").splitlines()
+    """The lines of a UTF-8 file, split at line ends alone (not at U+2028 or form feeds);
+    a byte that is not UTF-8 fails as MalformedLine at `path:line`."""
+    try:  # read_text turns \r\n and \r into \n
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError as exc:  # read_text decodes the whole file in one call
         line = Path(path).read_bytes().count(b"\n", 0, exc.start) + 1
         raise MalformedLine(f"{path}:{line}: not UTF-8 ({exc.reason})") from None
+    if not lines[-1]:  # a final line end starts no line, and an empty file has none
+        lines.pop()
+    return lines
 
 
 @contextmanager

@@ -2,9 +2,9 @@
 
 The description corpus is turned into a term-document matrix (raw term
 count x ln(n/df)) and reduced with a truncated SVD whose route follows the
-matrix's form: ARPACK on M^T M for a sparse matrix; for an array, one LAPACK
-SVD when the sketch would be full width and randomized subspace iteration
-otherwise. The cosines of the reduced rows are the semantic similarities.
+matrix's form: ARPACK on M^T M for a sparse matrix; for an array, randomized
+subspace iteration at small k and one LAPACK SVD otherwise. The cosines of
+the reduced rows are the semantic similarities.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ _TOKEN_RE = re.compile(r"[a-z]+")
 EXPORT_MAGIC = b"LSEH"
 EXPORT_VERSION = 2
 
-# truncated_svd: the least sketch oversampling, power iterations before the first
-# convergence test, the iteration cap, and the relative singular-value tolerance
+# truncated_svd: the subspace loop's sketch oversampling, which is also the largest k
+# the loop serves, its iteration cap, and its relative singular-value tolerance
 SVD_OVERSAMPLE = 8
-SVD_MIN_ITERS = 4
 SVD_MAX_ITERS = 2000
 SVD_TOL = 1e-12
 
@@ -144,12 +143,11 @@ def truncated_svd(
     - a SciPy sparse matrix goes to ARPACK (`scipy.sparse.linalg.eigsh`, tol=0,
       seeded start vector) on the w x w operator M^T M: V is its top k
       eigenvectors and sigma = sqrt(max(lambda, 0));
-    - a NumPy array whose sketch below would be full width (l == min(n, w))
-      goes to one LAPACK SVD (`np.linalg.svd`) of M itself;
-    - any other array goes to randomized subspace iteration on a sketch of
-      l = k + max(k, SVD_OVERSAMPLE) columns, run past SVD_MIN_ITERS until
-      the singular-value estimates change by less than SVD_TOL. They then
-      match a dense SVD's even on flat spectra; their error is the square
+    - a NumPy array goes to randomized subspace iteration when k <= SVD_OVERSAMPLE
+      and its sketch of k + SVD_OVERSAMPLE columns is narrower than min(n, w),
+      and to one LAPACK SVD (`np.linalg.svd`) of M itself otherwise. The loop
+      runs until the singular-value estimates change by at most SVD_TOL. They
+      then match a dense SVD's even on flat spectra; their error is the square
       of the subspace's, so B is good to about sqrt(SVD_TOL).
 
     Every route needs 1 <= k < min(n, w), the rank ARPACK can compute, and
@@ -175,30 +173,22 @@ def truncated_svd(
             raise ConvergenceFailure(f"ARPACK failed for k={k} on a {n}x{w} matrix: {exc}") from exc
         return _reduced_semantics(M, np.sqrt(np.maximum(lam, 0)), V.T)
 
-    l = min(k + max(k, SVD_OVERSAMPLE), min(n, w))
-    if l == min(n, w):
-        _, s, Vt = np.linalg.svd(M, full_matrices=False)
-        return _reduced_semantics(M, s[:k], Vt[:k])
-
-    # Y = Q.T @ M serves the next step, the convergence test and the final SVD
-    Y = np.linalg.qr(M @ rng.standard_normal((w, l)))[0].T @ M
-
-    prev = None
-    for it in range(SVD_MAX_ITERS):
-        Y = np.linalg.qr(M @ Y.T)[0].T @ M
-        if it + 1 < SVD_MIN_ITERS:
-            continue
-        s = np.linalg.svd(Y, compute_uv=False)[:k]
-        if prev is not None:
-            denom = np.maximum(np.abs(s), 1e-300)
-            if np.max(np.abs(s - prev) / denom) < SVD_TOL:
+    Y = M
+    if k <= SVD_OVERSAMPLE and k + SVD_OVERSAMPLE < min(n, w):
+        # Y = Q.T @ M serves the next step, the convergence test and the final SVD
+        Y = np.linalg.qr(M @ rng.standard_normal((w, k + SVD_OVERSAMPLE)))[0].T @ M
+        prev = np.inf
+        for _ in range(SVD_MAX_ITERS):
+            Y = np.linalg.qr(M @ Y.T)[0].T @ M
+            s = np.linalg.svd(Y, compute_uv=False)[:k]
+            if np.all(np.abs(s - prev) <= SVD_TOL * s):
                 break
-        prev = s
-    else:
-        raise ConvergenceFailure(
-            f"singular values did not stabilize within {SVD_MAX_ITERS} "
-            f"iterations for k={k} on a {n}x{w} matrix"
-        )
+            prev = s
+        else:
+            raise ConvergenceFailure(
+                f"singular values did not stabilize within {SVD_MAX_ITERS} "
+                f"iterations for k={k} on a {n}x{w} matrix"
+            )
 
     _, s, Vt = np.linalg.svd(Y, full_matrices=False)
     return _reduced_semantics(M, s[:k], Vt[:k])

@@ -636,6 +636,27 @@ class TestErrorPaths:
         assert code == 1
         assert err.startswith(f"error: {captions}:3:")
 
+    @pytest.mark.parametrize("command", ["svd", "train"])
+    def test_only_line_ends_split_caption_lines(self, tmp_path, capsys, command):
+        # str.splitlines would also split at U+2028, U+0085 and form feeds
+        data = tmp_path / "data"
+        run(["gen", "--out", str(data), *TINY], capsys)
+        captions = data / "captions.tsv"
+        lines = captions.read_text(encoding="utf-8").split("\n")[:-1]
+        for i, separator in enumerate(["\u2028", "\x85", "\x0c"]):
+            lines[i] += f"{separator}again"
+        argv = [command, "--out", str(tmp_path / "o"), *TINY,
+                "--set", f"data.captions={captions}",
+                "--set", f"data.features={data / 'features.txt'}"]
+        captions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run(argv, capsys)
+        assert code == 0, err
+        lines.insert(4, "d99 no tabs here")
+        captions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert err.startswith(f"error: {captions}:5: expected description_id")
+
     @pytest.mark.parametrize("command,pair", [
         ("train", "learning_rate=-1"), ("train", "svd_k=0"), ("train", "batch_size=1"),
         ("train", "d_emb=0"), ("train", "d_word=0"), ("svd", "svd_k=0"),
@@ -891,7 +912,7 @@ class TestErrorPaths:
         assert err.startswith(f"error: {features}:2: feature row 0 has 2 values")
 
     def test_memory_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
-        def cmd_gen(args):
+        def cmd_gen(args, cfg):
             raise MemoryError("Unable to allocate 745. GiB for an array")
 
         monkeypatch.setattr(semhard.cli, "cmd_gen", cmd_gen)
@@ -983,8 +1004,10 @@ def test_desk_scale_svd_commands_load_no_scipy(tmp_path):
         ["diag", "--checkpoint", checkpoint, "--out", str(tmp_path / "diag"), *files],
         ["compare", "--out", str(tmp_path / "compare"), *files],
         ["svd", "--out", str(tmp_path / "svd"), *files],
+        # the default corpus at a k above the subspace loop's
+        ["svd", "--out", str(tmp_path / "svd16"), "--set", "svd_k=16"],
     ])
-    assert lines == ["False False"] * 5
+    assert lines == ["False False"] * 6
 
 
 def test_import_loads_no_multiprocessing():
