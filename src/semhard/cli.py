@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from .evaluation import (
     efficiency_difference,
     epochs_to_threshold,
     hard_negative_uniques,
-    retrieval_report,
+    retrieval_report,  # unused here, but bench/spans.py wraps `semhard.cli.retrieval_report`
     write_csv,
     write_diagnostics_csv,
     write_report_csv,
@@ -173,18 +172,11 @@ def _checkpoint_text(checkpoint, cfg, train_ds, val_ds=None):
     return params, text
 
 
-@contextmanager
 def _no_overflow(checkpoint):
-    """Fail as one error naming `checkpoint` and the data when the arithmetic
-    of the `with` body overflows, which would otherwise warn and score every
-    embedding as the zero vector. Huge finite weights or huge finite features
-    can each cause it, so the error blames neither."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise BadCheckpoint(f"{checkpoint} on this config's data: the embeddings overflow"
-                            f" ({exc})") from None
+    """`trainer.no_overflow` for a checkpoint's embeddings. Huge finite weights
+    or huge finite features can each overflow them, so the error blames neither."""
+    return trainer.no_overflow(BadCheckpoint,
+                               f"{checkpoint} on this config's data: the embeddings overflow")
 
 
 def _run_one_training(cfg, out_dir, split, variant=None):
@@ -215,11 +207,8 @@ def cmd_eval(args, cfg: dict[str, object]) -> int:
     trainer.check_val_split(val_ds)
     params, text = _checkpoint_text(args.checkpoint, cfg, train_ds, val_ds)
     with _no_overflow(args.checkpoint):
-        V = enc.encode_images(params, val_ds.features)
-        U = enc.encode_texts(params, text.val)
-    report = retrieval_report(V @ U.T, val_ds.relevance)
-    out = Path(args.out) / "retrieval_report.csv"
-    write_report_csv(report, out, header=_resolved_header(cfg))
+        report = trainer.validate(params, val_ds, text.val)
+    write_report_csv(report, Path(args.out) / "retrieval_report.csv", header=_resolved_header(cfg))
     print(f"m_recall={report.m_recall:.4f}")
     return 0
 

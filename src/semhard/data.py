@@ -85,7 +85,8 @@ def read_lines(path: str | Path) -> list[str]:
     try:  # read_text turns \r\n and \r into \n
         lines = Path(path).read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError as exc:  # read_text decodes the whole file in one call
-        line = Path(path).read_bytes().count(b"\n", 0, exc.start) + 1
+        read = exc.object[:exc.start]  # a line ends at \n, \r\n or \r
+        line = read.count(b"\n") + read.count(b"\r") - read.count(b"\r\n") + 1
         raise MalformedLine(f"{path}:{line}: not UTF-8 ({exc.reason})") from None
     if not lines[-1]:  # a final line end starts no line, and an empty file has none
         lines.pop()

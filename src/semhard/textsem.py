@@ -55,10 +55,18 @@ class TermDocMatrix:
     columns: list[list[int]]  # each document's tokens as matrix columns, in order
     lengths: np.ndarray       # each document's token count
 
-    def _entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """The row and column of every token, one entry per occurrence."""
-        cols = np.fromiter(chain.from_iterable(self.columns), np.int64, self.lengths.sum())
-        return np.repeat(np.arange(self.shape[0]), self.lengths), cols
+    def _weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The row, column and weight, count x ln(n/df), of every nonzero
+        count, in row-major order; both forms are built from this one list."""
+        n, w = self.shape
+        keys = np.repeat(np.arange(0, n * w, w), self.lengths)  # row * w + col per token
+        keys += np.fromiter(chain.from_iterable(self.columns), np.int64, keys.size)
+        rows, counts = np.unique(keys, return_counts=True)
+        cols = rows % w
+        rows //= w  # in place, as the weights below: freed temporaries stay in the heap
+        weights = np.log(n / np.bincount(cols, minlength=w))[cols]
+        weights *= counts
+        return rows, cols, weights
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
@@ -67,18 +75,15 @@ class TermDocMatrix:
         # and only an SVD of a matrix too large for `dense` reads this
         import scipy.sparse as sp
 
-        n, w = self.shape
-        rows, cols = self._entries()
-        tf = sp.csr_matrix((np.ones(cols.size), (rows, cols)), shape=(n, w))
-        tf.sum_duplicates()
-        df = np.bincount(tf.indices, minlength=w)
-        return tf.multiply(np.log(n / df)[np.newaxis, :]).tocsr()
+        rows, cols, weights = self._weights()
+        indptr = np.searchsorted(rows, np.arange(self.shape[0] + 1))
+        return sp.csr_matrix((weights, cols, indptr), shape=self.shape)
 
     def dense(self) -> np.ndarray:
-        """The same TF-IDF weights as `matrix`, bit for bit, as an n x w array."""
+        """The same TF-IDF weights as `matrix`, as an n x w array."""
+        rows, cols, weights = self._weights()
         tf = np.zeros(self.shape)
-        np.add.at(tf, self._entries(), 1.0)
-        tf *= np.log(self.shape[0] / np.count_nonzero(tf, axis=0))  # no second n x w array
+        tf[rows, cols] = weights
         return tf
 
 

@@ -5,13 +5,14 @@ semantic-factor matrix for the batch's descriptions, compute the loss,
 backpropagate, and apply SGD. Every `validation_step` cumulative batches
 the model is validated on the held-out set, and its weights are kept iff
 the mean-recall score strictly improves; the best weights are written to
-the checkpoint once, when training ends. The CLI's eval and diag share
-`prepare_text` (captions to ids and the TF-IDF) and `batch_loss` with it;
+the checkpoint once, when training ends. The CLI's eval shares `validate`,
+diag `batch_loss`, and both `prepare_text` and `no_overflow` with it.
 `semantics` runs the truncated SVD for lseh `train`, lseh `diag` and `svd`.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from . import encoder as enc
 from .data import CaptionLines, Dataset, SyntheticSpec, minibatches, read_lines
 from .errors import (BadConfigValue, BeforeFirstValidation, EmptyDataset, EmptySequence,
                      MalformedLine, NonFiniteGradient, SemhardError, UnknownConfigKey)
-from .evaluation import retrieval_report, write_csv
+from .evaluation import RetrievalReport, retrieval_report, write_csv
 from .losses import (
     LossConfig,
     LossOutput,
@@ -166,19 +167,27 @@ def batch_loss(
     return cache, compute_loss(block, loss_cfg)
 
 
-def validate(
-    params: enc.ModelParams,
-    val_ds: Dataset,
-    val_tokens: enc.TokenLayout,
-) -> float:
-    """Encode the full validation set and return its mean-recall score. Diverged
-    weights, whose similarities hold NaN or inf, fail as NonFiniteGradient."""
+@contextmanager
+def no_overflow(error: type[SemhardError], what: str):
+    """Fail as one `error`, `what` and the cause, when the `with` body overflows,
+    which would otherwise only warn and embed every input as the zero vector."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise error(f"{what} ({exc})") from None
+
+
+def validate(params: enc.ModelParams, val_ds: Dataset,
+             val_tokens: enc.TokenLayout) -> RetrievalReport:
+    """The full validation set's retrieval report, whose `m_recall` is the score.
+    Diverged weights, whose similarities hold NaN or inf, fail as NonFiniteGradient."""
     V = enc.encode_images(params, val_ds.features)
     U = enc.encode_texts(params, val_tokens)
     sim = V @ U.T
     if not np.isfinite(sim).all():
         raise NonFiniteGradient("the validation similarities hold NaN or inf")
-    return retrieval_report(sim, val_ds.relevance).m_recall
+    return retrieval_report(sim, val_ds.relevance)
 
 
 def check_val_split(val_ds: Dataset) -> None:
@@ -216,11 +225,8 @@ def train(
         d_emb=cfg.d_emb,
         seed=cfg.seed,
     )
-    with np.errstate(over="raise", invalid="raise"):  # else x / inf embeds each image as zero
-        try:
-            enc.encode_images(params, train_ds.features)
-        except FloatingPointError as exc:
-            raise SemhardError(f"the image features are too large to embed ({exc})") from None
+    with no_overflow(SemhardError, "the image features are too large to embed"):
+        enc.encode_images(params, train_ds.features)
     sem = semantics(text, cfg.svd_k, cfg.seed) if cfg.loss.variant == "lseh" else None
 
     records: list[tuple[float, float, float]] = []
@@ -253,7 +259,7 @@ def train(
 
                     batches_done += 1
                     if batches_done % cfg.validation_step == 0:
-                        score = validate(params, val_ds, text.val)
+                        score = validate(params, val_ds, text.val).m_recall
                         epoch_fraction = batches_done / first_epoch_batches
                         loss_mean = float(np.mean(loss_acc))
                         if not np.isfinite(loss_mean):

@@ -395,15 +395,26 @@ class TestSvd:
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
         import spans
 
+        checkpoint = str(tmp_path / "train" / "best.ckpt")
+        code, _, err = run(["train", "--out", str(tmp_path / "train"), *TINY], capsys)
+        assert code == 0, err
         tracer = spans.Tracer()
         tracer.install()
         try:
             code, _, err = run(["svd", "--out", str(tmp_path / "svd"), *TINY], capsys)
+            assert code == 0, err
+            code, _, err = run(["eval", "--checkpoint", checkpoint,
+                                "--out", str(tmp_path / "eval"), *TINY], capsys)
         finally:
             tracer.uninstall()
         assert code == 0, err
         assert tracer.counts["textsem.tfidf.nnz"] > 0
         assert tracer.counts["textsem.svd.k"] > 0
+        # eval scores the checkpoint through the traced `trainer.validate`
+        assert tracer.counts["trainer.validate.calls"] == 1
+        validate = next(i for i, span in enumerate(tracer.spans) if span[0] == "trainer.validate")
+        assert ["evaluation.retrieval_report", validate] in [
+            [span[0], span[3]] for span in tracer.spans]
 
 
 class TestCompare:
@@ -886,13 +897,17 @@ class TestErrorPaths:
         assert err == f"error: {given} is set but {unset} is not; set both or neither\n"
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("reader", sorted(NOT_UTF8))
-    def test_non_utf8_file_names_file_and_line(self, tmp_path, capsys, reader):
+    @pytest.mark.parametrize("reader, end", [
+        pytest.param(reader, end, id=reader + suffix) for reader in sorted(NOT_UTF8)
+        for end, suffix in (("\n", ""), ("\r\n", "-crlf"), ("\r", "-cr"))
+    ])
+    def test_non_utf8_file_names_file_and_line(self, tmp_path, capsys, reader, end):
+        # every file's lines end in `end`; each reader counts \n, \r\n and \r as one line end
         paths = {"captions": tmp_path / "captions.tsv", "features": tmp_path / "features.txt"}
-        paths["captions"].write_text("d0\t0\tred cat\nd1\t1\tblue dog\n")
-        paths["features"].write_text("2 2\n0.0 1.0\n1.0 2.0\n")
+        paths["captions"].write_bytes(f"d0\t0\tred cat{end}d1\t1\tblue dog{end}".encode())
+        paths["features"].write_bytes(f"2 2{end}0.0 1.0{end}1.0 2.0{end}".encode())
         paths[reader] = tmp_path / reader
-        paths[reader].write_bytes(NOT_UTF8[reader])
+        paths[reader].write_bytes(NOT_UTF8[reader].replace(b"\n", end.encode()))
         args = ["--set", f"data.captions={paths['captions']}",
                 "--set", f"data.features={paths['features']}"]
         args += {"config": ["--config", str(paths[reader])],

@@ -1,4 +1,6 @@
+import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -92,18 +94,55 @@ class TestPreprocess:
         assert [preprocess(c) for c in captions] == memoized
 
 
+def train_split_docs(val_fraction, seed):
+    """The preprocessed captions of a default synthetic corpus's train split:
+    800 at val_fraction 0.15, and the criterion-6 600 at 0.4."""
+    train, _ = split_dataset(generate_synthetic(SyntheticSpec(seed=seed)), val_fraction, seed)
+    return [preprocess(c) for c in train.captions]
+
+
 def train_split_tfidf(val_fraction, seed):
     """The TF-IDF of a default synthetic corpus's train split: 800 x 500 at
     val_fraction 0.15, and the criterion-6 600 x 500 at 0.4."""
-    train, _ = split_dataset(generate_synthetic(SyntheticSpec(seed=seed)), val_fraction, seed)
-    return build_tfidf([preprocess(c) for c in train.captions])[1]
+    return build_tfidf(train_split_docs(val_fraction, seed))[1]
+
+
+def tfidf_oracle(docs):
+    """count x ln(n/df) by loops: a Counter per document, df counted by hand,
+    and columns in sorted term order."""
+    column = {t: j for j, t in enumerate(sorted({t for d in docs for t in d}))}
+    df = dict.fromkeys(column, 0)
+    for d in docs:
+        for t in set(d):
+            df[t] += 1
+    out = np.zeros((len(docs), len(column)))
+    for i, d in enumerate(docs):
+        for t, count in Counter(d).items():
+            out[i, column[t]] = count * math.log(len(docs) / df[t])
+    return out
+
+
+SMALL_DOCS = pytest.mark.parametrize("docs", [
+    [["a", "a", "b"], [], ["b", "c", "c", "c"], ["a"], ["c", "b", "c"]],
+    [["x"], ["x"]],
+], ids=["repeats-and-empty-row", "uniform-term"])
 
 
 class TestBuildTfidf:
-    @pytest.mark.parametrize("docs", [
-        [["a", "a", "b"], [], ["b", "c", "c", "c"], ["a"], ["c", "b", "c"]],
-        [["x"], ["x"]],
-    ], ids=["repeats-and-empty-row", "uniform-term"])
+    @SMALL_DOCS
+    def test_dense_form_matches_a_loop_oracle(self, docs):
+        np.testing.assert_array_max_ulp(build_tfidf(docs)[1].dense(), tfidf_oracle(docs), 1)
+
+    def test_criterion_6_split_matches_a_loop_oracle(self):
+        docs = train_split_docs(0.4, 1000)
+        tdm = build_tfidf(docs)[1]
+        assert tdm.shape == (600, 500)
+        np.testing.assert_array_max_ulp(tdm.dense(), tfidf_oracle(docs), 1)
+        # ARPACK's products follow the stored order: sorted, duplicate-free int32 indices
+        assert tdm.matrix.has_canonical_format
+        assert tdm.matrix.indices.dtype == tdm.matrix.indptr.dtype == np.int32
+
+    @SMALL_DOCS
     def test_dense_form_is_the_sparse_matrix_bit_for_bit(self, docs):
         _, tdm = build_tfidf(docs)
         dense, sparse = tdm.dense(), tdm.matrix.toarray()

@@ -108,7 +108,7 @@ class TestTrain:
         assert saves == [tmp_path / "best" / "best.ckpt"]
         params = enc.load_checkpoint(report.checkpoint_path)
         text = prepare_text(tr.captions, va.captions, PreprocessConfig())
-        assert validate(params, va, text.val) == report.best_m_recall
+        assert validate(params, va, text.val).m_recall == report.best_m_recall
 
     def test_one_checkpoint_write_per_run(self, small_sets, tmp_path, saves):
         tr, va = small_sets
