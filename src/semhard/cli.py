@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .data import (
     save_dataset,
     split_dataset,
 )
-from .errors import BadCheckpoint, SemhardError, ShapeMismatch
+from .errors import BadCheckpoint, SemhardError, ShapeMismatch, ZeroNormEmbedding
 from .evaluation import (
     efficiency_difference,
     epochs_to_threshold,
@@ -172,11 +173,16 @@ def _checkpoint_text(checkpoint, cfg, train_ds, val_ds=None):
     return params, text
 
 
+@contextmanager
 def _no_overflow(checkpoint):
-    """`trainer.no_overflow` for a checkpoint's embeddings. Huge finite weights
-    or huge finite features can each overflow them, so the error blames neither."""
-    return trainer.no_overflow(BadCheckpoint,
-                               f"{checkpoint} on this config's data: the embeddings overflow")
+    """`trainer.no_overflow` for a checkpoint's embeddings, also when one is the zero vector.
+    Huge finite weights or huge finite features can each overflow them: it blames neither."""
+    what = f"{checkpoint} on this config's data"
+    try:
+        with trainer.no_overflow(BadCheckpoint, f"{what}: the embeddings overflow"):
+            yield
+    except ZeroNormEmbedding as exc:
+        raise BadCheckpoint(f"{what}: {exc}") from None
 
 
 def _run_one_training(cfg, out_dir, split, variant=None):

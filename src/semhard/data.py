@@ -242,6 +242,9 @@ def _load_features(path: str | Path) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise MalformedLine(f"{path}:{bad[0] + 2}: feature row {bad[0]} holds NaN or inf")
+    zero = np.flatnonzero(~features.any(axis=1))
+    if zero.size:  # every projection of it is the zero vector, which has no direction
+        raise MalformedLine(f"{path}:{zero[0] + 2}: feature row {zero[0]} is all zeros")
     return features
 
 

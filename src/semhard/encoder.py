@@ -53,14 +53,15 @@ class Gradients:
 
 @dataclass
 class ForwardCache:
-    """Activations kept for the backward pass."""
+    """Activations kept for the backward pass; `V`, `U` and `txt_norms` view `emb` and `norms`."""
     X: np.ndarray               # b x d_img input features
-    img_norms: np.ndarray       # b row norms of X @ W_img
-    V: np.ndarray               # normalized image embeddings
     tokens: TokenLayout         # the batch's token ids
     means: np.ndarray           # b x d_word mean word embeddings
-    txt_norms: np.ndarray       # b row norms of means @ W_txt
-    U: np.ndarray               # normalized text embeddings
+    emb: np.ndarray             # 2b x d_emb normalized embeddings: b image rows, then b text rows
+    norms: np.ndarray           # 2b row norms of the projections
+    V = property(lambda self: self.emb[:len(self.X)])
+    U = property(lambda self: self.emb[len(self.X):])
+    txt_norms = property(lambda self: self.norms[len(self.X):])
 
 
 def init_params(
@@ -83,7 +84,7 @@ def init_params(
 def _unit_rows(pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of `pre` scaled to unit length, and their norms."""
     norms = np.sqrt(np.add.reduce(pre * pre, axis=1))  # np.linalg.norm's sum, undispatched
-    if (norms == 0).any():
+    if np.count_nonzero(norms) < len(norms):
         raise ZeroNormEmbedding("a projection produced the zero vector")
     return pre / norms[:, np.newaxis], norms
 
@@ -103,8 +104,7 @@ def encode_images(params: ModelParams, X: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class TokenLayout:
     """Token-id sequences laid out for one vectorized mean embedding.
-    Indexing it with an integer array of rows, or a slice, gives the layout of
-    those rows; a slice's arrays are views."""
+    Indexing it with an integer array of rows gives the layout of those rows."""
     lengths: np.ndarray  # token count per sequence
     grid: np.ndarray     # sequences x longest length, ids with zero padding
     pad: np.ndarray      # True where `grid` holds padding
@@ -112,11 +112,13 @@ class TokenLayout:
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def __getitem__(self, rows: np.ndarray | slice) -> TokenLayout:
-        # cut to the rows' longest sequence, so a batch is laid out as its lists would be
-        lengths = self.lengths[rows]
-        width = lengths.max(initial=0)
-        return TokenLayout(lengths, self.grid[rows, :width], self.pad[rows, :width])
+    def __getitem__(self, rows: np.ndarray) -> TokenLayout:
+        # cut to the rows' longest sequence, so a batch is laid out as its lists would be;
+        # take gathers a batch's rows faster than indexing does
+        lengths = self.lengths.take(rows)
+        width = max(lengths.tolist(), default=0)
+        return TokenLayout(lengths, self.grid.take(rows, 0)[:, :width],
+                           self.pad.take(rows, 0)[:, :width])
 
     @property
     def ids(self) -> np.ndarray:  # flat caption-major token ids
@@ -138,11 +140,13 @@ def _layout(tokens: TokenLayout | list[list[int]]) -> TokenLayout:
     return tokens if isinstance(tokens, TokenLayout) else token_layout(tokens)
 
 
-def _padded_rows(E_word: np.ndarray, layout: TokenLayout) -> np.ndarray:
-    """The word embeddings of `layout.grid`, zero where it holds padding."""
-    rows = E_word[layout.grid]
-    rows[layout.pad] = 0.0
-    return rows
+def _block_sums(E_word: np.ndarray, layout: TokenLayout, out: np.ndarray) -> None:
+    """Each sequence's zero-padded word embeddings summed into `out`, in token
+    order. The rows are gathered position-major, longest x sequences x d_word,
+    so the sum adds one contiguous slab per token position."""
+    rows = E_word.take(layout.grid.T, 0)
+    rows[layout.pad.T] = 0.0
+    np.add.reduce(rows, axis=0, out=out)
 
 
 def _mean_embeddings(params: ModelParams, layout: TokenLayout) -> np.ndarray:
@@ -156,7 +160,8 @@ def _mean_embeddings(params: ModelParams, layout: TokenLayout) -> np.ndarray:
     n = len(layout.lengths)
     sums = np.empty((n, params.E_word.shape[1]))
     for lo in range(0, n, _BLOCK):
-        _padded_rows(params.E_word, layout[lo:lo + _BLOCK]).sum(axis=1, out=sums[lo:lo + _BLOCK])
+        block = layout if n <= _BLOCK else layout[np.arange(lo, min(n, lo + _BLOCK))]
+        _block_sums(params.E_word, block, sums[lo:lo + _BLOCK])
     sums /= layout.lengths[:, np.newaxis]
     return sums
 
@@ -169,50 +174,57 @@ def encode_texts(params: ModelParams, tokens: TokenLayout | list[list[int]]) -> 
 def forward(
     params: ModelParams, X: np.ndarray, tokens: TokenLayout | list[list[int]]
 ) -> ForwardCache:
-    """Encode a batch of (image features, token-id sequence) pairs."""
+    """Encode a batch of (image features, token-id sequence) pairs, both towers in one array."""
     X = _features(params, X)
-    if X.shape[0] != len(tokens):
+    b = X.shape[0]
+    if b != len(tokens):
         raise ShapeMismatch("batch sizes of images and texts disagree")
-    V, img_norms = _unit_rows(X @ params.W_img)
     layout = _layout(tokens)
     means = _mean_embeddings(params, layout)
-    U, txt_norms = _unit_rows(means @ params.W_txt)
-    return ForwardCache(X, img_norms, V, layout, means, txt_norms, U)
+    pre = np.empty((2 * b, params.W_img.shape[1]))
+    X.dot(params.W_img, out=pre[:b])
+    means.dot(params.W_txt, out=pre[b:])
+    emb, norms = _unit_rows(pre)
+    return ForwardCache(X, layout, means, emb, norms)
 
 
 def similarity_matrix(cache: ForwardCache) -> np.ndarray:
-    return cache.V @ cache.U.T
+    return cache.V.dot(cache.U.T)
 
 
 def _grad_through_normalize(norms: np.ndarray, out: np.ndarray, g_out: np.ndarray):
     # y = x / ||x||  =>  dL/dx = (g - y * (y . g)) / ||x||
-    return (g_out - out * (out * g_out).sum(axis=1, keepdims=True)) / norms[:, np.newaxis]
+    return (g_out - out * np.add.reduce(out * g_out, axis=1, keepdims=True)) / norms[:, np.newaxis]
 
 
 def backward(params: ModelParams, cache: ForwardCache, grad_S: np.ndarray) -> Gradients:
     """Exact gradients of a loss through S = V @ U.T down to the parameters.
     Only E_word rows of tokens present in the batch receive gradient."""
-    b = cache.V.shape[0]
+    b = cache.X.shape[0]
     grad_S = np.asarray(grad_S, dtype=np.float64)
     if grad_S.shape != (b, b):
         raise ShapeMismatch(f"grad_S must be {(b, b)}, got {grad_S.shape}")
 
-    g_V = grad_S @ cache.U
-    g_U = grad_S.T @ cache.V
-    g_img_pre = _grad_through_normalize(cache.img_norms, cache.V, g_V)
-    g_txt_pre = _grad_through_normalize(cache.txt_norms, cache.U, g_U)
+    g_emb = np.empty_like(cache.emb)
+    grad_S.dot(cache.U, out=g_emb[:b])
+    grad_S.T.dot(cache.V, out=g_emb[b:])
+    g_pre = _grad_through_normalize(cache.norms, cache.emb, g_emb)  # image rows, then text rows
 
-    g_W_img = cache.X.T @ g_img_pre
-    g_W_txt = cache.means.T @ g_txt_pre
-    g_means = g_txt_pre @ params.W_txt.T
+    g_W_img = cache.X.T.dot(g_pre[:b])
+    g_W_txt = cache.means.T.dot(g_pre[b:])
+    g_means = g_pre[b:].dot(params.W_txt.T)
 
     lengths = cache.tokens.lengths
-    contrib = np.repeat(g_means / lengths[:, np.newaxis], lengths, axis=0)
+    contrib = (g_means / lengths[:, np.newaxis]).repeat(lengths, axis=0)
     tokens = cache.tokens.ids
-    ids = np.unique(tokens)
+    # the distinct ids: sorted, then each kept where it differs from the last
+    # (np.unique imports numpy.ma on its first call, about 0.6 MB)
+    ids = tokens.copy()
+    ids.sort()
+    ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
     d = contrib.shape[1]
     # bincount adds in input order from 0.0, so rows sum in per-caption order
-    flat = (np.searchsorted(ids, tokens)[:, np.newaxis] * d + np.arange(d)).ravel()
+    flat = (ids.searchsorted(tokens)[:, np.newaxis] * d + np.arange(d)).ravel()
     rows = np.bincount(flat, contrib.ravel(), len(ids) * d).reshape(len(ids), d)
     return Gradients(g_W_img, ids, rows, g_W_txt, params.E_word.shape[0])
 

@@ -74,7 +74,7 @@ def _ranks(scores: np.ndarray, target: np.ndarray, axis: int = 1) -> np.ndarray:
     """Rank of candidate target[q] in each query q, a row of `scores` (axis=1)
     or a column (axis=0): by descending score, ties to the lower index."""
     q = np.arange(len(target))
-    t = np.expand_dims(scores[q, target] if axis == 1 else scores[target, q], axis)
+    t = scores[q, target][:, np.newaxis] if axis == 1 else scores[target, q][np.newaxis]
     ranks = np.add.reduce(scores > t, axis=axis, dtype=np.int32)  # faster than count_nonzero
     equal = scores == t
     if np.count_nonzero(equal) > np.count_nonzero(t == t):  # a target's score recurs (NaN != NaN)
@@ -97,7 +97,7 @@ def _direction_ranks(sim: np.ndarray, relevance: RelevanceMap, direction: str) -
     if direction == I2T:
         grid = relevance.desc_grid
         rows = np.arange(n_img)
-        best = grid[rows, np.argmax(sim[rows[:, np.newaxis], grid], axis=1)]
+        best = grid[rows, sim[rows[:, np.newaxis], grid].argmax(axis=1)]
         return _ranks(sim, best)
     if direction == T2I:
         return _ranks(sim, relevance.desc_img, axis=0)

@@ -78,8 +78,8 @@ def semantic_factor_matrix(batch_rows: np.ndarray, lam: float, unit: bool = Fals
     rows = np.asarray(batch_rows, dtype=np.float64)
     if not unit:
         rows = unit_rows(rows)
-    F = lam * (rows @ rows.T)
-    np.fill_diagonal(F, 0.0)
+    F = lam * rows.dot(rows.T)
+    F.flat[::len(F) + 1] = 0.0
     return F
 
 
@@ -105,16 +105,15 @@ def lsh(block: SimilarityBlock, cfg: LossConfig) -> LossOutput:
     return LossOutput(value=value, grad_S=grad)
 
 
-def _max_of_hinges(S: np.ndarray, aug: np.ndarray, alpha: float) -> LossOutput:
-    """Shared lmh/lseh core; `aug` holds the scores the argmax ranks."""
+def _max_of_hinges(S: np.ndarray, masked: np.ndarray, alpha: float) -> LossOutput:
+    """Shared lmh/lseh core; `masked`, a fresh array it overwrites, holds the argmax's scores."""
     b = S.shape[0]
-    diag = np.diag(S)
-    masked = aug.copy()
-    np.fill_diagonal(masked, -np.inf)
+    diag = S.diagonal()
+    masked.flat[::b + 1] = -np.inf
 
     # hardest text for each image row, hardest image for each text column
-    hard_desc = np.argmax(masked, axis=1)
-    hard_img = np.argmax(masked, axis=0)
+    hard_desc = masked.argmax(axis=1)
+    hard_img = masked.argmax(axis=0)
 
     rows = np.arange(b)
     h_row = alpha + masked[rows, hard_desc] - diag
@@ -125,10 +124,10 @@ def _max_of_hinges(S: np.ndarray, aug: np.ndarray, alpha: float) -> LossOutput:
     grad = np.zeros((b, b))
     row_act = h_row > 0
     col_act = h_col > 0
-    # at most one entry per row, then one per column: no index repeats within a +=
-    grad[rows[row_act], hard_desc[row_act]] += 1.0
-    grad[hard_img[col_act], rows[col_act]] += 1.0
-    grad[rows, rows] -= row_act.astype(np.float64) + col_act.astype(np.float64)
+    # one entry per row set from 0, then one per column added; an inactive hinge adds 0
+    grad[rows, hard_desc] = row_act
+    grad[hard_img, rows] += col_act
+    grad.flat[::b + 1] -= np.add(row_act, col_act, dtype=np.float64)
     return LossOutput(
         value=value, grad_S=grad, hard_neg_desc=hard_desc, hard_neg_img=hard_img
     )
@@ -136,12 +135,12 @@ def _max_of_hinges(S: np.ndarray, aug: np.ndarray, alpha: float) -> LossOutput:
 
 def lmh(block: SimilarityBlock, cfg: LossConfig) -> LossOutput:
     """Max of hinges: only the hardest negative per query contributes."""
-    return _max_of_hinges(block.S, block.S, cfg.alpha)
+    return _max_of_hinges(block.S, block.S.copy(), cfg.alpha)
 
 
 def lseh(block: SimilarityBlock, cfg: LossConfig) -> LossOutput:
     """Max of hinges on semantically shifted scores S + F."""
-    aug = block.S if block.F is None else block.S + block.F
+    aug = block.S.copy() if block.F is None else block.S + block.F
     return _max_of_hinges(block.S, aug, cfg.alpha)
 
 

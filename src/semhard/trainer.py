@@ -12,6 +12,7 @@ diag `batch_loss`, and both `prepare_text` and `no_overflow` with it.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -159,10 +160,9 @@ def batch_loss(
     """Forward a mini-batch of caption indices with their images, then score
     the similarity block; only lseh reads the semantic factors, from the
     unit rows `sem` computes once per run."""
-    X = ds.features[ds.caption_image[batch]]
-    cache = enc.forward(params, X, tokens[batch])
+    cache = enc.forward(params, ds.features.take(ds.caption_image.take(batch), 0), tokens[batch])
     lseh = loss_cfg.variant == "lseh"
-    F = semantic_factor_matrix(sem.unit_B[batch], loss_cfg.lam, unit=True) if lseh else None
+    F = semantic_factor_matrix(sem.unit_B.take(batch, 0), loss_cfg.lam, unit=True) if lseh else None
     block = SimilarityBlock(S=enc.similarity_matrix(cache), F=F)
     return cache, compute_loss(block, loss_cfg)
 
@@ -245,7 +245,7 @@ def train(
                 for b, batch in enumerate(minibatches(train_ds.n_captions, cfg.batch_size,
                                                       cfg.seed, epoch)):
                     cache, out = batch_loss(params, train_ds, text.train, batch, cfg.loss, sem)
-                    if not np.isfinite(out.value):
+                    if not math.isfinite(out.value):
                         raise NonFiniteGradient(f"the loss is {out.value}")
                     loss_acc.append(out.value)
                     if out.hard_neg_img is not None:

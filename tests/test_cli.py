@@ -279,6 +279,26 @@ class TestEvalAndDiag:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "diag"])
+    def test_checkpoint_that_projects_to_zero_is_named(self, tmp_path, capsys, command):
+        # an all-zero W_img maps every image to the zero vector, which has no
+        # direction; the error used to name neither the checkpoint nor the data
+        run_dir = tmp_path / "run"
+        lmh = [*TINY, "--set", "loss.variant=lmh"]
+        run(["train", "--out", str(run_dir), *lmh], capsys)
+        checkpoint = run_dir / "best.ckpt"
+        params = enc.load_checkpoint(checkpoint)
+        params.W_img[:] = 0.0
+        enc.save_checkpoint(params, checkpoint)
+        out = tmp_path / "o"
+        code, stdout, err = run(
+            [command, "--checkpoint", str(checkpoint), "--out", str(out), *lmh], capsys
+        )
+        assert (code, stdout) == (1, "")
+        assert err == (f"error: {checkpoint} on this config's data:"
+                       " a projection produced the zero vector\n")
+        assert not out.exists()
+
 
 def write_corpus(tmp_path, captions):
     """A captions file with every caption on image 0, a None caption a blank line,
@@ -433,6 +453,13 @@ class TestCompare:
         assert code == 0, err
         for name in ("encoder.forward", "trainer.validate", "encoder.save_checkpoint"):
             assert tracer.counts[f"{name}.calls"] > 0, name
+        # every lseh step goes through each wrapped step function once, and the
+        # tracer times a step from its forward to its SGD update
+        steps = tracer.counts["encoder.forward.calls"]
+        for name in ("encoder.backward", "encoder.sgd_step", "losses.compute_loss",
+                     "losses.semantic_factor_matrix"):
+            assert tracer.counts[f"{name}.calls"] == steps, name
+        assert len(tracer.steps_ms) == steps
         # lmh trains in a forked worker, out of the tracer's view; the SVD
         # call shows that the traced run is lseh
         assert tracer.counts["encoder.save_checkpoint.calls"] == 1
@@ -631,6 +658,27 @@ class TestErrorPaths:
         )
         assert code == 1
         assert err.startswith(f"error: {features}:{line}:")
+
+    @pytest.mark.parametrize("command", ["train", "compare", "eval", "diag", "svd"])
+    def test_all_zero_feature_row_names_the_line(self, tmp_path, capsys, command):
+        # an all-zero image embeds as the zero vector in every model; it used to
+        # fail without a line in train, compare, eval and diag, and pass svd
+        data, run_dir = tmp_path / "data", tmp_path / "run"
+        files = [*TINY, "--set", "loss.variant=lmh",
+                 "--set", f"data.captions={data / 'captions.tsv'}",
+                 "--set", f"data.features={data / 'features.txt'}"]
+        run(["gen", "--out", str(data), *TINY], capsys)
+        run(["train", "--out", str(run_dir), *files], capsys)
+        features = data / "features.txt"
+        lines = features.read_text().splitlines()
+        lines[3] = " ".join(["0.0"] * len(lines[3].split()))
+        features.write_text("\n".join(lines) + "\n")
+        needs = ["--checkpoint", str(run_dir / "best.ckpt")] if command in ("eval", "diag") else []
+        out = tmp_path / "o"
+        code, stdout, err = run([command, *needs, "--out", str(out), *files], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {features}:4: feature row 2 is all zeros\n"
+        assert not out.exists()
 
     def test_malformed_caption_line_names_the_line(self, tmp_path, capsys):
         data = tmp_path / "data"

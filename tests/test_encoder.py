@@ -170,6 +170,20 @@ class TestTokenLayout:
                     enc.forward(params, X, layout).U, enc.forward(params, X, lists).U
                 )
 
+    @pytest.mark.parametrize("d_word", [1, 5, 64])
+    @pytest.mark.parametrize("b", [2, 8, 64, 65, 100])
+    def test_forward_rows_are_the_encoders_bits(self, b, d_word):
+        # forward projects both towers into one array and normalizes it once;
+        # every row keeps the bits the encoder of its tower gives it alone
+        rng = np.random.default_rng(100 * b + d_word)
+        params = make_params(vocab=30, d_word=d_word, seed=b)
+        seqs = [rng.integers(0, 30, size=rng.integers(1, 13)).tolist() for _ in range(b + 20)]
+        layout = enc.token_layout(seqs)[rng.permutation(b + 20)[:b]]
+        X = rng.standard_normal((b, 5))
+        cache = enc.forward(params, X, layout)
+        assert cache.V.tobytes() == enc.encode_images(params, X).tobytes()
+        assert cache.U.tobytes() == enc.encode_texts(params, layout).tobytes()
+
     def test_word_grad_bit_identical_to_loop(self):
         rng = np.random.default_rng(21)
         for trial in range(10):
@@ -188,8 +202,8 @@ class TestTokenLayout:
                 assert np.array_equal(grads.E_word, from_lists.E_word)
 
     def test_row_selection_of_a_one_wide_embedding_equals_its_lists(self):
-        # with d_word = 1, NumPy sums a padded row pairwise, so the selection
-        # must be cut to its own longest sequence to keep the lists' bits
+        # one-wide rows are summed one token position at a time as well, so a
+        # selection's extra padding leaves the lists' bits unchanged
         rng = np.random.default_rng(23)
         params = make_params(vocab=50, d_word=1, seed=23)
         seqs = [rng.integers(0, 50, size=rng.integers(1, 30)).tolist() for _ in range(40)]

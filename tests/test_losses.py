@@ -107,6 +107,22 @@ def max_hinge_oracle(S, F, alpha):
     return total, hard_desc, hard_img
 
 
+def max_hinge_grad_oracle(S, F, alpha):
+    """Loop oracle for the max-of-hinges grad_S: +1 at each active hardest
+    negative, and -(row active + column active) on the diagonal."""
+    b = S.shape[0]
+    aug = S if F is None else S + F
+    _, hard_desc, hard_img = max_hinge_oracle(S, F, alpha)
+    grad = np.zeros((b, b))
+    for i in range(b):
+        row_active = alpha + aug[i, hard_desc[i]] - S[i, i] > 0
+        col_active = alpha + aug[hard_img[i], i] - S[i, i] > 0
+        grad[i, hard_desc[i]] += row_active
+        grad[hard_img[i], i] += col_active
+        grad[i, i] -= float(row_active) + float(col_active)
+    return grad
+
+
 def random_block(rng, b, with_f=True, lam=0.025):
     S = rng.uniform(-1, 1, size=(b, b))
     F = None
@@ -314,6 +330,31 @@ class TestLseh:
             out = compute_loss(SimilarityBlock(S=S.copy(), F=F), cfg)
             assert out.value == 0.0
             assert np.all(out.grad_S == 0.0)
+
+
+class TestMaxOfHingesGradient:
+    @pytest.mark.parametrize("variant", ["lmh", "lseh"])
+    def test_grad_equals_the_loop_oracle(self, variant):
+        rng = np.random.default_rng(16)
+        lseh_ = variant == "lseh"
+        blocks = [random_block(rng, b, with_f=lseh_) for b in (2, 3, 8, 8, 16, 33)]
+        # no active hinge: every positive clears its negatives by more than alpha
+        quiet = np.full((8, 8), -0.5)
+        np.fill_diagonal(quiet, 0.9)
+        blocks.append(SimilarityBlock(S=quiet, F=random_block(rng, 8, lseh_).F))
+        # argmax ties: scores and factors from a few values repeat along rows and columns
+        tied = rng.choice([-0.2, 0.1, 0.3], size=(8, 8))
+        topics = np.eye(3)[rng.integers(0, 3, 8)]
+        blocks.append(SimilarityBlock(S=tied, F=semantic_factor_matrix(topics, 0.1)
+                                      if lseh_ else None))
+        cfg = LossConfig(alpha=0.185, variant=variant)
+        for block in blocks:
+            grad = compute_loss(block, cfg).grad_S
+            assert np.array_equal(grad, max_hinge_grad_oracle(block.S, block.F, 0.185))
+        assert not compute_loss(blocks[-2], cfg).grad_S.any()
+        aug = blocks[-1].S if blocks[-1].F is None else blocks[-1].S + blocks[-1].F
+        masked = aug + np.diag(np.full(8, -np.inf))
+        assert any(np.count_nonzero(row == row.max()) > 1 for row in masked)
 
 
 class TestGradientCheck:
