@@ -115,12 +115,13 @@ def open_whole(path: str | Path, mode: str = "w"):
 
 
 def write_matrices(path: str | Path, magic: bytes, version: int, mats: list[np.ndarray]) -> None:
-    """Write `mats` in the binary matrix format."""
+    """Write `mats` in the binary matrix format; a C-contiguous little-endian
+    f8 matrix is written from its own buffer, with no copy."""
     shapes = [n for m in mats for n in m.shape]
     with open_whole(path, "wb") as fh:
         fh.write(magic + struct.pack(f"<I{len(shapes)}I", version, *shapes))
         for m in mats:
-            fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
+            fh.write(memoryview(np.ascontiguousarray(m, dtype="<f8")))
 
 
 def read_matrices(path: str | Path, magic: bytes, version: int, count: int) -> list[np.ndarray]:

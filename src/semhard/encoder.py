@@ -125,19 +125,25 @@ class TokenLayout:
         return self.grid[~self.pad]
 
 
-def token_layout(token_seqs: list[list[int]]) -> TokenLayout:
-    """Lay out token-id sequences once; raises EmptySequence for an empty one."""
-    lengths = np.array([len(seq) for seq in token_seqs], dtype=np.int64)
+def id_arrays(token_seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Token-id sequences as one sequence-major int64 id array and their lengths."""
+    lengths = np.fromiter(map(len, token_seqs), np.int64, len(token_seqs))
+    return np.fromiter(chain.from_iterable(token_seqs), np.int64, lengths.sum()), lengths
+
+
+def token_layout(ids: np.ndarray, lengths: np.ndarray) -> TokenLayout:
+    """Lay out sequence-major token ids, `lengths[i]` of them in sequence i, once;
+    raises EmptySequence for an empty sequence."""
     if not lengths.all():
         raise EmptySequence(f"token sequence {int(np.argmin(lengths))} is empty")
     padded = np.arange(lengths.max(initial=0)) < lengths[:, np.newaxis]
     grid = np.zeros(padded.shape, dtype=np.int64)
-    grid[padded] = np.fromiter(chain.from_iterable(token_seqs), np.int64, lengths.sum())
+    grid[padded] = ids
     return TokenLayout(lengths, grid, ~padded)
 
 
 def _layout(tokens: TokenLayout | list[list[int]]) -> TokenLayout:
-    return tokens if isinstance(tokens, TokenLayout) else token_layout(tokens)
+    return tokens if isinstance(tokens, TokenLayout) else token_layout(*id_arrays(tokens))
 
 
 def _block_sums(E_word: np.ndarray, layout: TokenLayout, out: np.ndarray) -> None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -51,16 +50,16 @@ class PreprocessConfig:
 
 @dataclass
 class TermDocMatrix:
-    shape: tuple[int, int]    # n_docs x n_terms
-    columns: list[list[int]]  # each document's tokens as matrix columns, in order
-    lengths: np.ndarray       # each document's token count
+    shape: tuple[int, int]  # n_docs x n_terms
+    ids: np.ndarray         # every document's tokens as matrix columns, document-major, as int64
+    lengths: np.ndarray     # each document's token count
 
     def _weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The row, column and weight, count x ln(n/df), of every nonzero
         count, in row-major order; both forms are built from this one list."""
         n, w = self.shape
         keys = np.repeat(np.arange(0, n * w, w), self.lengths)  # row * w + col per token
-        keys += np.fromiter(chain.from_iterable(self.columns), np.int64, keys.size)
+        keys += self.ids
         rows, counts = np.unique(keys, return_counts=True)
         cols = rows % w
         rows //= w  # in place, as the weights below: freed temporaries stay in the heap
@@ -134,8 +133,8 @@ def build_tfidf(docs: list[list[str]]) -> tuple[dict[str, int], TermDocMatrix]:
         raise AllDocumentsEmpty("every document is empty after preprocessing")
 
     term_to_index = {t: j for j, t in enumerate(sorted({t for d in docs for t in d}))}
-    columns = [[term_to_index[t] for t in d] for d in docs]
-    return term_to_index, TermDocMatrix((len(docs), len(term_to_index)), columns, lengths)
+    ids = np.fromiter((term_to_index[t] for d in docs for t in d), np.int64, lengths.sum())
+    return term_to_index, TermDocMatrix((len(docs), len(term_to_index)), ids, lengths)
 
 
 def truncated_svd(
@@ -171,7 +170,8 @@ def truncated_svd(
         # imported here: loading scipy.sparse.linalg costs about 10 MB RSS and 0.13 s
         from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-        gram = LinearOperator((w, w), matvec=lambda x: M.T @ (M @ x), dtype=M.dtype)
+        MT = M.T  # built once, not per product; the stored transpose also multiplies faster
+        gram = LinearOperator((w, w), matvec=lambda x: MT @ (M @ x), dtype=M.dtype)
         try:
             lam, V = eigsh(gram, k=k, tol=0, v0=rng.standard_normal(w))
         except ArpackError as exc:
@@ -203,7 +203,7 @@ def _reduced_semantics(M, s: np.ndarray, Vt: np.ndarray) -> ReducedSemantics:
     """Order the k triplets by descending singular value (stable), flip each
     V column so its largest-magnitude entry is positive, then B = M @ V."""
     order = np.argsort(-s, kind="stable")
-    V = np.ascontiguousarray(Vt[order].T)
+    V = Vt.T.take(order, axis=1)  # the one copy, C-ordered
     V *= np.where(V[np.abs(V).argmax(axis=0), np.arange(V.shape[1])] < 0, -1.0, 1.0)
     return ReducedSemantics(B=np.asarray(M @ V), singular_values=s[order], V=V)
 

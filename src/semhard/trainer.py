@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -76,12 +77,20 @@ class TrainingReport:
 
 @dataclass
 class PreparedText:
-    """Both splits as ids over the train vocabulary, each laid out once for
-    encoding (a batch is a row selection), plus the train split's TF-IDF."""
+    """Both splits as ids over the train vocabulary, plus the train split's
+    TF-IDF, which holds that split's ids. Each split is laid out for encoding
+    (a batch is a row selection) on first read: `svd` on files lays out none."""
     vocab_size: int
-    train: enc.TokenLayout
-    val: enc.TokenLayout
     tfidf: TermDocMatrix
+    val_ids: tuple[np.ndarray, np.ndarray]  # the val split's ids and lengths, as enc.id_arrays
+
+    @cached_property
+    def train(self) -> enc.TokenLayout:
+        return enc.token_layout(self.tfidf.ids, self.tfidf.lengths)
+
+    @cached_property
+    def val(self) -> enc.TokenLayout:
+        return enc.token_layout(*self.val_ids)
 
 
 def prepare_text(
@@ -101,19 +110,15 @@ def prepare_text(
     its index in the split otherwise.
     """
     index, tdm = build_tfidf([preprocess(c, pre_cfg) for c in train_captions])
-
-    def lay_out(split, ids, lines):
-        empty = next((i for i, seq in enumerate(ids) if not seq), None)
-        if empty is not None:
+    val = enc.id_arrays([[index[t] for t in preprocess(c, pre_cfg) if t in index]
+                         for c in val_captions])
+    for split, lengths, lines in (("train", tdm.lengths, train_lines), ("val", val[1], val_lines)):
+        if not lengths.all():
+            empty = int(np.argmin(lengths))  # the first empty caption
             caption = (f"{split} caption {empty}" if lines is None
                        else f"{lines.where(empty)}: {split} caption")
             raise EmptySequence(f"{caption} has no in-vocabulary token after preprocessing")
-        return enc.token_layout(ids)
-
-    train = lay_out("train", tdm.columns, train_lines)
-    val = lay_out("val", [[index[t] for t in preprocess(c, pre_cfg) if t in index]
-                          for c in val_captions], val_lines)
-    return PreparedText(len(index), train, val, tdm)
+    return PreparedText(len(index), tdm, val)
 
 
 def semantics(text: PreparedText, k_ceiling: int, seed: int) -> ReducedSemantics:

@@ -368,6 +368,23 @@ class TestSvd:
         exported = (tmp_path / "svd" / "semantics.bin").read_bytes()
         assert exported == (tmp_path / "expected.bin").read_bytes()
 
+    def test_files_lay_out_no_tokens(self, tmp_path, capsys, monkeypatch):
+        # the SVD reads the train split's ids as one array; neither split is laid out
+        calls, real = [], enc.token_layout
+
+        def spy(*args):  # the last argument holds one entry per sequence
+            calls.append(len(args[-1]))
+            return real(*args)
+
+        monkeypatch.setattr(enc, "token_layout", spy)
+        data = tmp_path / "data"
+        run(["gen", "--out", str(data), *TINY], capsys)
+        code, _, err = run(["svd", "--out", str(tmp_path / "svd"), *TINY,
+                            "--set", f"data.captions={data / 'captions.tsv'}",
+                            "--set", f"data.features={data / 'features.txt'}"], capsys)
+        assert code == 0, err
+        assert calls == []
+
     @pytest.mark.parametrize("fault", ["dead-worker", "nan-row", "missing-features"])
     @pytest.mark.parametrize("captions", [
         ["a red kite", "two red dogs"], ["a red kite", "the of and", "two red dogs"],

@@ -135,13 +135,17 @@ def repeated_token_seqs(rng, n, vocab):
     return [[3, 3, 3], [0], [5, 1, 5, 1, 5]] + seqs
 
 
+def lay_out(seqs):
+    return enc.token_layout(*enc.id_arrays(seqs))
+
+
 def layouts(rng, seqs):
     """The sequences laid out whole, and a shuffled row selection of a longer
     list laid out once, with the lists each stands for."""
-    whole = enc.token_layout(seqs)
+    whole = lay_out(seqs)
     more = seqs + repeated_token_seqs(rng, 8, 6)
     rows = rng.permutation(len(more))[: len(seqs)]
-    return [(whole, seqs), (enc.token_layout(more)[rows], [more[r] for r in rows])]
+    return [(whole, seqs), (lay_out(more)[rows], [more[r] for r in rows])]
 
 
 class TestTokenLayout:
@@ -178,7 +182,7 @@ class TestTokenLayout:
         rng = np.random.default_rng(100 * b + d_word)
         params = make_params(vocab=30, d_word=d_word, seed=b)
         seqs = [rng.integers(0, 30, size=rng.integers(1, 13)).tolist() for _ in range(b + 20)]
-        layout = enc.token_layout(seqs)[rng.permutation(b + 20)[:b]]
+        layout = lay_out(seqs)[rng.permutation(b + 20)[:b]]
         X = rng.standard_normal((b, 5))
         cache = enc.forward(params, X, layout)
         assert cache.V.tobytes() == enc.encode_images(params, X).tobytes()
@@ -207,10 +211,10 @@ class TestTokenLayout:
         rng = np.random.default_rng(23)
         params = make_params(vocab=50, d_word=1, seed=23)
         seqs = [rng.integers(0, 50, size=rng.integers(1, 30)).tolist() for _ in range(40)]
-        layout = enc.token_layout(seqs)
+        layout = lay_out(seqs)
         for _ in range(20):
             rows = rng.permutation(len(seqs))[:6]
-            lists = enc.token_layout([seqs[r] for r in rows])
+            lists = lay_out([seqs[r] for r in rows])
             assert np.array_equal(
                 enc._mean_embeddings(params, layout[rows]), enc._mean_embeddings(params, lists)
             )
@@ -224,7 +228,7 @@ class TestTokenLayout:
                 for i in range(3 * enc._BLOCK + 17)]
         for i, width in enumerate(widths):
             seqs[i * enc._BLOCK] = [i] * width
-        layout = enc.token_layout(seqs)
+        layout = lay_out(seqs)
         rows = params.E_word[layout.grid]
         rows[layout.pad] = 0.0
         one_shot = rows.sum(axis=1) / layout.lengths[:, np.newaxis]
@@ -238,7 +242,7 @@ class TestTokenLayout:
         rng = np.random.default_rng(25)
         d_word = 16
         params = make_params(vocab=100, d_word=d_word, d_emb=d_word, seed=25)
-        layout = enc.token_layout(
+        layout = lay_out(
             [rng.integers(0, 100, size=rng.integers(1, 51)).tolist() for _ in range(1000)])
         block_bytes = enc._BLOCK * layout.grid.shape[1] * d_word * 8
         assert layout.grid.nbytes * d_word > 5 * 2 * block_bytes  # all 1,000 padded rows at once
@@ -419,6 +423,15 @@ class TestCheckpoint:
             + b"".join(m.astype("<f8").tobytes() for m in mats)
         )
         assert path.read_bytes() == expected
+
+    def test_zero_row_matrix_round_trips(self, tmp_path):
+        # a zero-size array has no bytes to write, and writing it must not fail
+        path = tmp_path / "empty.bin"
+        mats = [np.zeros((0, 3)), np.arange(6.0).reshape(2, 3), np.zeros((4, 0))]
+        data.write_matrices(path, b"TEST", 1, mats)
+        assert path.stat().st_size == 8 + 8 * 3 + 8 * 6
+        for read, written in zip(data.read_matrices(path, b"TEST", 1, 3), mats):
+            assert read.shape == written.shape and np.array_equal(read, written)
 
     @BINARY_FILES
     def test_no_temporary_file_left(self, tmp_path, save, load, files):

@@ -1,5 +1,7 @@
 import math
 import re
+import struct
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -174,6 +176,13 @@ class TestBuildTfidf:
         vocab, tdm = build_tfidf(docs)
         assert tdm.matrix.shape == (5, 4)
         assert sorted(vocab.values()) == list(range(4))
+
+    def test_ids_are_one_array_in_document_order(self):
+        docs = [["cat", "dog", "cat"], [], ["bird"], ["fish", "cat"]]
+        vocab, tdm = build_tfidf(docs)
+        assert tdm.ids.dtype == np.int64
+        assert tdm.ids.tolist() == [vocab[t] for d in docs for t in d]
+        assert tdm.lengths.tolist() == [3, 0, 1, 2]
 
     def test_all_documents_empty(self):
         with pytest.raises(AllDocumentsEmpty):
@@ -494,6 +503,31 @@ class TestExport:
         assert raw[:4] == b"LSEH"
         assert len(raw) == 24 + (5 * 2 + 2) * 8
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sem.bin"]
+
+    def test_bytes_follow_the_format(self, tmp_path):
+        sem = truncated_svd(np.random.default_rng(38).standard_normal((9, 7)), 3, seed=0)
+        path = tmp_path / "sem.bin"
+        export_semantics(sem, path)
+        mats = [sem.B, sem.singular_values[np.newaxis, :]]
+        expected = (
+            b"LSEH" + struct.pack("<I", textsem.EXPORT_VERSION)
+            + b"".join(struct.pack("<II", *m.shape) for m in mats)
+            + b"".join(m.tobytes() for m in mats)
+        )
+        assert path.read_bytes() == expected
+
+    def test_writes_b_without_a_copy(self, tmp_path):
+        # the file is written from B's own buffer: a bytes copy would add B.nbytes
+        B = np.random.default_rng(39).standard_normal((5000, 64))
+        sem = textsem.ReducedSemantics(B=B, singular_values=np.arange(64.0, 0, -1), V=np.eye(64))
+        tracemalloc.start()
+        try:
+            export_semantics(sem, tmp_path / "sem.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < B.nbytes / 8
+        assert np.array_equal(read_exported_semantics(tmp_path / "sem.bin")[0], B)
 
     def test_version_1_file_names_the_path(self, tmp_path):
         # version 1 held B alone, with its singular values in a text sidecar

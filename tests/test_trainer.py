@@ -78,9 +78,9 @@ class TestTrain:
         tr, va = small_sets
         calls, real = [], enc.token_layout
 
-        def spy(seqs):
-            calls.append(len(seqs))
-            return real(seqs)
+        def spy(ids, lengths):
+            calls.append(len(lengths))
+            return real(ids, lengths)
 
         monkeypatch.setattr(enc, "token_layout", spy)
         train(tr, va, small_cfg(batch_size=batch_size), tmp_path / "layouts")
