@@ -8,6 +8,9 @@ Every output CSV starts with a comment line recording the resolved config.
 from __future__ import annotations
 
 import argparse
+import os
+import pickle
+import select
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -89,34 +92,31 @@ def _load(cfg: dict[str, object]) -> Dataset:
 class _Worker:
     """`fn()` run in one forked worker while the `with` body runs here. Fork
     hands the worker `fn` and all it closes over, so no input is pickled, and
-    one message, `fn`'s value or its error, comes back over a one-way pipe.
+    one message, `fn`'s value or its error, comes back pickled over a pipe.
     Leaving the block waits for the worker on every path, and the worker's
     error wins over the body's; a worker that dies without sending fails as
     one SemhardError naming `what` and its exit code."""
 
     def __init__(self, what: str, fn):
         self._what, self._fn = what, fn
-        self._sent = None  # (returned, value or error), once received
 
     def __enter__(self):
-        # imported here: `import semhard.cli` would otherwise load multiprocessing
-        from multiprocessing import get_context
-
-        # forked, not spawned, which would import NumPy and this package again
-        ctx = get_context("fork")
-        self._reader, writer = ctx.Pipe(duplex=False)
-
-        def send_outcome():
-            self._reader.close()  # so that this send fails, not blocks, if the parent dies first
+        # file objects, which write a message of any size whole and close when dropped
+        self._reader, writer = map(os.fdopen, os.pipe(), ("rb", "wb"))
+        self._pid = os.fork()
+        if self._pid == 0:  # the worker leaves only through os._exit, with 0 once it has sent
             try:
-                message = (True, self._fn())
-            except Exception as exc:
-                message = (False, exc)
-            writer.send(message)
-
-        self._process = ctx.Process(target=send_outcome)
-        self._process.start()
-        writer.close()  # the worker's copy is then the only one, so its death reads as EOF here
+                self._reader.close()  # so the write fails, not blocks, if the parent dies first
+                try:
+                    message = (True, self._fn())
+                except Exception as exc:
+                    message = (False, exc)
+                with writer:
+                    writer.write(pickle.dumps(message))
+                os._exit(0)
+            finally:  # reached only when the send failed, or `fn` raised past `except`
+                os._exit(1)
+        writer.close()  # the worker's copy is then the only one, so its end reads as EOF here
         return self
 
     def __exit__(self, *exc_info):
@@ -124,23 +124,18 @@ class _Worker:
 
     def poll(self) -> bool:
         """Whether the worker has sent, or died, so that `result()` will not wait."""
-        return self._reader.poll()
+        return bool(select.select([self._reader], [], [], 0)[0])
 
     def result(self):
         """Wait for the worker to end, then return `fn`'s value or raise its error."""
         if not self._reader.closed:
-            try:
-                self._sent = self._reader.recv()
-            except EOFError:  # the worker died before it sent
-                pass
+            try:  # to EOF first: waiting first deadlocks on a message past the pipe's buffer
+                sent = self._reader.read()
             finally:
-                # joined only after the receive: an outcome larger than the
-                # pipe's buffer would otherwise block the worker's send forever
-                self._process.join()
                 self._reader.close()
-        if self._sent is None:
-            raise SemhardError(f"{self._what} worker process died:"
-                               f" exit code {self._process.exitcode}")
+                code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+            self._sent = pickle.loads(sent) if code == 0 else (
+                False, SemhardError(f"{self._what} worker process died: exit code {code}"))
         returned, value = self._sent
         if not returned:
             raise value

@@ -195,11 +195,13 @@ def caption_lines(path: str | Path) -> Iterator[tuple[int, str, int, str]]:
             continue
         try:
             desc_id, image_id, text = line.split("\t", 2)
-            img = int(image_id)
+            if not image_id.isdecimal():  # digits alone, as in the features header
+                raise ValueError(image_id)
+            img = int(image_id)  # which fails past 4,300 digits
         except ValueError:
             raise MalformedLine(
                 f"{path}:{lineno}: expected description_id<TAB>image_id<TAB>caption"
-                " with an integer image_id"
+                " with a whole-number image_id"
             ) from None
         yield lineno, desc_id, img, text
 

@@ -79,7 +79,7 @@ class TrainingReport:
 class PreparedText:
     """Both splits as ids over the train vocabulary, plus the train split's
     TF-IDF, which holds that split's ids. Each split is laid out for encoding
-    (a batch is a row selection) on first read: `svd` on files lays out none."""
+    (a batch is a row selection) on first read: `svd` lays out neither."""
     vocab_size: int
     tfidf: TermDocMatrix
     val_ids: tuple[np.ndarray, np.ndarray]  # the val split's ids and lengths, as enc.id_arrays
@@ -147,11 +147,11 @@ def corpus_semantics(
     pre_cfg: PreprocessConfig,
     k_ceiling: int,
     seed: int,
-) -> tuple[ReducedSemantics, enc.TokenLayout]:
-    """The semantics of a whole corpus and its captions as ids: `prepare_text`
+) -> tuple[ReducedSemantics, PreparedText]:
+    """The semantics of a whole corpus and its prepared text: `prepare_text`
     with no val split, so an empty caption fails here as it does in training."""
     text = prepare_text(captions, [], pre_cfg)
-    return semantics(text, k_ceiling, seed), text.train
+    return semantics(text, k_ceiling, seed), text
 
 
 def batch_loss(

@@ -1,11 +1,11 @@
 import faulthandler
-import multiprocessing
 import os
+import pickle
 import re
+import signal
 import subprocess
 import sys
 import time
-from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,33 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_no_child_left():
+    """This process has no child, running or waiting to be reaped: `waitid`, told
+    neither to wait nor to reap, finds none."""
+    with pytest.raises(ChildProcessError):
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+
+
+def test_no_child_left_sees_running_and_unreaped_children():
+    pid = os.fork()
+    if pid == 0:  # sleeps until killed
+        try:
+            time.sleep(60)
+        finally:
+            os._exit(0)
+    try:
+        with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+            assert_no_child_left()
+        os.kill(pid, signal.SIGKILL)
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+        with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+            assert_no_child_left()
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert_no_child_left()
 
 
 class TestGen:
@@ -348,7 +375,7 @@ class TestSvd:
         assert (code, stdout) == (1, "")
         assert err == "error: TF-IDF needs at least 2 captions, got 1\n"
         assert not (tmp_path / "svd").exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_files_export_matches_the_loaded_dataset(self, tmp_path, capsys):
         from semhard.data import load_dataset
@@ -368,7 +395,8 @@ class TestSvd:
         exported = (tmp_path / "svd" / "semantics.bin").read_bytes()
         assert exported == (tmp_path / "expected.bin").read_bytes()
 
-    def test_files_lay_out_no_tokens(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("source", ["synthetic", "files"])
+    def test_svd_lays_out_no_tokens(self, tmp_path, capsys, monkeypatch, source):
         # the SVD reads the train split's ids as one array; neither split is laid out
         calls, real = [], enc.token_layout
 
@@ -379,9 +407,10 @@ class TestSvd:
         monkeypatch.setattr(enc, "token_layout", spy)
         data = tmp_path / "data"
         run(["gen", "--out", str(data), *TINY], capsys)
+        files = ["--set", f"data.captions={data / 'captions.tsv'}",
+                 "--set", f"data.features={data / 'features.txt'}"]
         code, _, err = run(["svd", "--out", str(tmp_path / "svd"), *TINY,
-                            "--set", f"data.captions={data / 'captions.tsv'}",
-                            "--set", f"data.features={data / 'features.txt'}"], capsys)
+                            *(files if source == "files" else [])], capsys)
         assert code == 0, err
         assert calls == []
 
@@ -407,22 +436,25 @@ class TestSvd:
         assert err.startswith(shown)
         assert err.count("\n") == 1
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_failed_check_stops_the_command_before_the_svd(self, tmp_path, capsys, monkeypatch):
         svd_calls, real_tfidf = [], semhard.trainer.build_tfidf
 
         def build_tfidf(docs):  # the check ends while this process reads the captions
-            deadline = time.monotonic() + 60
-            while multiprocessing.active_children() and time.monotonic() < deadline:
-                time.sleep(0.01)
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)  # waits for it, reaping nothing
             return real_tfidf(docs)
 
         monkeypatch.setattr(semhard.trainer, "build_tfidf", build_tfidf)
         monkeypatch.setattr(semhard.trainer, "truncated_svd", lambda *a: svd_calls.append(a))
         data = write_corpus(tmp_path, ["a red kite", "two red dogs"])
         (tmp_path / "data" / "features.txt").unlink()
-        code, _, err = run(["svd", "--out", str(tmp_path / "svd"), *TINY, *data], capsys)
+        # a check that never ends ends the test session after 60 s instead of hanging it
+        faulthandler.dump_traceback_later(60, exit=True, file=sys.__stderr__)
+        try:
+            code, _, err = run(["svd", "--out", str(tmp_path / "svd"), *TINY, *data], capsys)
+        finally:
+            faulthandler.cancel_dump_traceback_later()
         assert (code, svd_calls) == (1, [])
         assert err.startswith("error: [Errno 2] No such file or directory: ")
 
@@ -525,11 +557,27 @@ class TestCompare:
         assert err.startswith("error: the lmh run's worker process died: ")
         assert err.count("\n") == 1
         assert "exit code 3" in err
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fn", [lambda: sys.exit(0), lambda: lambda: None],
+                             ids=["sys-exit-0", "unpicklable-value"])
+    def test_worker_that_cannot_send_dies_nonzero(self, fn):
+        # an exit that `except Exception` lets through, or a value pickle cannot
+        # write, ends the worker without a message, so never with exit code 0
+        with pytest.raises(SemhardError, match="^the test's worker process died: exit code 1$"):
+            with semhard.cli._Worker("the test's", fn):
+                pass
+        assert_no_child_left()
+
+    def test_worker_killed_by_a_signal_shows_its_negated_number(self):
+        with pytest.raises(SemhardError, match="^the test's worker process died: exit code -9$"):
+            with semhard.cli._Worker("the test's", lambda: os.kill(os.getpid(), signal.SIGKILL)):
+                pass
+        assert_no_child_left()
 
     def test_report_larger_than_the_pipe_buffer_comes_back(self, tmp_path, capsys, monkeypatch):
-        # the parent receives before it joins: a worker whose outcome outgrows
-        # the pipe's buffer waits in its send until the parent reads
+        # the parent reads to EOF before it waits: a worker whose outcome
+        # outgrows the pipe's buffer waits in its write until the parent reads
         big = bytes(1 << 20)
         # a deadlock ends the test session after 60 s instead of hanging it
         faulthandler.dump_traceback_later(60, exit=True, file=sys.__stderr__)
@@ -539,7 +587,7 @@ class TestCompare:
         finally:
             faulthandler.cancel_dump_traceback_later()
         assert outcome.result() == big
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
         # compare's lmh worker sends back the two numbers compare reads, not its report
         sent = []
@@ -561,14 +609,14 @@ class TestCompare:
         # fork hands each worker its inputs; only the worker pickles, to send its outcome
         data = tmp_path / "data"
         run(["gen", "--out", str(data), *TINY], capsys)
-        command_pid, dumped, real_dumps = os.getpid(), [], ForkingPickler.dumps
+        command_pid, dumped, real_dumps = os.getpid(), [], pickle.dumps
 
-        def dumps(obj, protocol=None):
+        def dumps(obj, *args, **kwargs):
             if os.getpid() == command_pid:
                 dumped.append(type(obj))
-            return real_dumps(obj, protocol)
+            return real_dumps(obj, *args, **kwargs)
 
-        monkeypatch.setattr(ForkingPickler, "dumps", staticmethod(dumps))
+        monkeypatch.setattr(pickle, "dumps", dumps)
         files = ["--set", f"data.captions={data / 'captions.tsv'}",
                  "--set", f"data.features={data / 'features.txt'}"]
         for command in (["compare"], ["svd", *files]):
@@ -591,7 +639,7 @@ class TestCompare:
         code, stdout, err = run(["compare", "--out", str(tmp_path / "c"), *TINY], capsys)
         assert (code, stdout, err) == (1, "", f"error: {shown} failed\n")
         assert not (tmp_path / "c" / "comparison.csv").exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize("command", [
         ["compare"], ["train", "--set", "loss.variant=lmh"], ["train", "--set", "loss.variant=lseh"],
@@ -800,7 +848,7 @@ class TestErrorPaths:
         assert (code, stdout, svd_calls) == (1, "", [])
         assert err == "error: the validation split holds no caption: no image has two captions\n"
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize("command, writer", [
         (["train"], "semhard.encoder.save_checkpoint"),
@@ -826,7 +874,7 @@ class TestErrorPaths:
         code, stdout, err = run([*command, "--out", str(out), *TINY], capsys)
         assert (code, stdout, err) == (1, "", "error: the disk is full\n")
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize("command, shown", [
         (["train", "--set", "learning_rate=1e200"],
@@ -847,7 +895,7 @@ class TestErrorPaths:
         assert (code, stdout) == (1, "")
         assert err == f"error: training diverged at epoch 0, {shown}\n"
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize("lr", ["1e306", "1e308"])
     def test_diverged_weights_fail_their_validation(self, tmp_path, capsys, lr):
@@ -886,7 +934,7 @@ class TestErrorPaths:
         assert err == ("error: the image features are too large to embed"
                        " (overflow encountered in multiply)\n")
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize("command", [["svd"], ["train", "--set", "validation_step=1"]],
                              ids=["svd", "train-lseh"])
@@ -901,7 +949,7 @@ class TestErrorPaths:
         assert err == ("error: the train split's vocabulary holds 1 term after preprocessing;"
                        " the SVD needs at least 2\n")
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize("command", [["svd"], ["train", "--set", "validation_step=1"]],
                              ids=["svd", "train-lseh"])
@@ -916,7 +964,7 @@ class TestErrorPaths:
         assert re.fullmatch(r"error: no term is missing from any of the train split's \d+"
                             r" captions, so every idf is 0 and the TF-IDF matrix is zero\n", err)
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize("command", ["train", "gen", "svd"])
     @pytest.mark.parametrize("source", ["file", "--set", "--seed"])
@@ -1037,9 +1085,9 @@ def test_import_loads_no_scipy():
     assert out.stdout == "False False\n"
 
 
-def _modules_after(tmp_path, commands: list[list[str]]) -> list[str]:
+def _modules_after(tmp_path, commands: list[list[str]], probe: str = _scipy_loaded()) -> list[str]:
     """Run `gen` on TINY files under tmp_path, then each command in one
-    interpreter; one `_scipy_loaded()` line after each command."""
+    interpreter; one line that `probe` prints after each command."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
     commands = [["gen", "--out", str(tmp_path / "data"), *TINY], *commands]
@@ -1047,7 +1095,7 @@ def _modules_after(tmp_path, commands: list[list[str]]) -> list[str]:
             f"for argv in {commands!r}:\n"
             "    with contextlib.redirect_stdout(sys.stderr):\n"
             "        assert main(argv) == 0, argv\n"
-            f"    {_scipy_loaded()}")
+            f"    {probe}")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
@@ -1090,9 +1138,10 @@ def test_desk_scale_svd_commands_load_no_scipy(tmp_path):
     assert lines == ["False False"] * 6
 
 
-def test_import_loads_no_multiprocessing():
-    # only `compare` and `svd` on files start a worker, and importing the
-    # executor costs setup time
+def test_import_loads_no_multiprocessing(tmp_path):
+    # only `compare` and `svd` on files start a worker, with os.fork: importing
+    # multiprocessing and starting its first Process raised their peak RSS by
+    # about 0.6 MB, and importing the executor costs setup time
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
     loaded = ("print([m in sys.modules"
@@ -1101,3 +1150,7 @@ def test_import_loads_no_multiprocessing():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.split("\n") == ["[False, False]", "[False, False]", ""]
+    files = _tiny_files(tmp_path)
+    lines = _modules_after(tmp_path, [["compare", "--out", str(tmp_path / "compare"), *files],
+                                      ["svd", "--out", str(tmp_path / "svd"), *files]], loaded)
+    assert lines == ["[False, False]"] * 3

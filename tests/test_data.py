@@ -122,9 +122,11 @@ class TestLoadDataset:
         features = load_dataset(cap, feat).features
         assert repr(features[0, 0]) == repr(np.float64(float(value)))
 
-    @pytest.mark.parametrize(
-        "line", ["d1 1 no tabs", "d1\t1", "d1\tone\ttext", "d1\t1.0\ttext", "d1\t\ttext"]
-    )
+    @pytest.mark.parametrize("line", [
+        "d1 1 no tabs", "d1\t1", "d1\tone\ttext", "d1\t1.0\ttext", "d1\t\ttext",
+        # int() reads each of these ids as an image in range; the features header takes none
+        "d1\t0_1\tblue dog", "d1\t+0\ttext", "d1\t 1 \ttext", "d1\t-0\ttext",
+    ])
     def test_malformed_caption_line_names_its_line(self, tmp_path, line):
         cap, feat = write_pair(
             tmp_path, ["d0\t0\tok", "", line], ["2 2", "0.0 1.0", "1.0 2.0"]
