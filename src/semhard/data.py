@@ -58,6 +58,8 @@ class Dataset:
 
     def __post_init__(self):
         self.caption_image = np.asarray(self.caption_image, dtype=np.int64)
+        if not np.isfinite(self.features).all():
+            raise ValueError("the image features hold NaN or inf")
 
     @cached_property
     def relevance(self) -> RelevanceMap:

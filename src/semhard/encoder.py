@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import read_matrices, write_matrices
-from .errors import (BadCheckpoint, EmptySequence, NonFiniteGradient, ShapeMismatch,
-                     ZeroNormEmbedding)
+from .errors import BadCheckpoint, EmptySequence, ShapeMismatch, ZeroNormEmbedding
 
 CHECKPOINT_MAGIC = b"VSEC"
 CHECKPOINT_VERSION = 1
@@ -236,11 +235,10 @@ def backward(params: ModelParams, cache: ForwardCache, grad_S: np.ndarray) -> Gr
 
 
 def sgd_step(params: ModelParams, grads: Gradients, learning_rate: float) -> None:
-    """In-place p <- p - lr * g, on E_word only over the rows the gradient touches."""
+    """In-place p <- p - lr * g, on E_word only over the rows the gradient touches. It
+    scans nothing: under `trainer.traps()`, an overflowing product raises before its write."""
     if learning_rate <= 0:
         raise ValueError("learning_rate must be > 0")
-    if not all(np.isfinite(g).all() for g in (grads.W_img, grads.word_rows, grads.W_txt)):
-        raise NonFiniteGradient("gradient contains NaN or inf")
     params.W_img -= learning_rate * grads.W_img
     params.E_word[grads.word_ids] -= learning_rate * grads.word_rows
     params.W_txt -= learning_rate * grads.W_txt

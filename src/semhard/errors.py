@@ -31,7 +31,7 @@ class EmptySequence(SemhardError):
 
 
 class NonFiniteGradient(SemhardError):
-    """A loss or gradient contained NaN or infinity: training diverged."""
+    """Training diverged: NumPy's traps caught its first NaN or infinity where it was made."""
 
 
 class MissingImageId(SemhardError):

@@ -31,10 +31,10 @@ class LossConfig:
     variant: str = "lseh"
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("alpha must be > 0" if self.alpha <= 0 else "alpha must be finite")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lambda must be >= 0" if self.lam < 0 else "lambda must be finite")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
 

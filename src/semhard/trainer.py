@@ -12,7 +12,6 @@ diag `batch_loss`, and both `prepare_text` and `no_overflow` with it.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -62,7 +61,7 @@ class TrainConfig:
         for name, low in (("epochs", 1), ("batch_size", 2), ("validation_step", 1),
                           ("learning_rate", 0), ("svd_k", 1), ("d_emb", 1), ("d_word", 1),
                           ("seed", 0)):
-            if getattr(self, name) < low:
+            if not getattr(self, name) >= low:  # NaN fails too
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
@@ -172,12 +171,17 @@ def batch_loss(
     return cache, compute_loss(block, loss_cfg)
 
 
+def traps() -> np.errstate:
+    """Under it, NumPy raises FloatingPointError where it overflows, makes NaN or divides by 0."""
+    return np.errstate(all="raise", under="ignore")
+
+
 @contextmanager
 def no_overflow(error: type[SemhardError], what: str):
-    """Fail as one `error`, `what` and the cause, when the `with` body overflows,
-    which would otherwise only warn and embed every input as the zero vector."""
+    """Fail as one `error`, `what` and the cause at the `with` body's first trap, such as
+    an overflow, which would otherwise only warn and embed every input as the zero vector."""
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with traps():
             yield
     except FloatingPointError as exc:
         raise error(f"{what} ({exc})") from None
@@ -185,14 +189,10 @@ def no_overflow(error: type[SemhardError], what: str):
 
 def validate(params: enc.ModelParams, val_ds: Dataset,
              val_tokens: enc.TokenLayout) -> RetrievalReport:
-    """The full validation set's retrieval report, whose `m_recall` is the score.
-    Diverged weights, whose similarities hold NaN or inf, fail as NonFiniteGradient."""
+    """The full validation set's retrieval report, whose `m_recall` is the score. It
+    scans nothing for NaN or inf: run it under `traps()`, as `train` and `eval` do."""
     V = enc.encode_images(params, val_ds.features)
-    U = enc.encode_texts(params, val_tokens)
-    sim = V @ U.T
-    if not np.isfinite(sim).all():
-        raise NonFiniteGradient("the validation similarities hold NaN or inf")
-    return retrieval_report(sim, val_ds.relevance)
+    return retrieval_report(V @ enc.encode_texts(params, val_tokens).T, val_ds.relevance)
 
 
 def check_val_split(val_ds: Dataset) -> None:
@@ -241,17 +241,15 @@ def train(
     batches_done = 0
     loss_acc: list[float] = []
 
-    # a diverging run would warn at every overflow; its first non-finite
-    # loss or gradient fails instead, as one error naming where
-    with np.errstate(all="ignore"):
-        try:
+    # a diverging run fails at the first overflow, NaN or division by zero it makes,
+    # as one error naming where; every number it reads from outside is finite
+    try:
+        with traps():
             for epoch in range(cfg.epochs):
                 lr = cfg.learning_rate / (10.0 if epoch >= cfg.lr_update_epoch else 1.0)
                 for b, batch in enumerate(minibatches(train_ds.n_captions, cfg.batch_size,
                                                       cfg.seed, epoch)):
                     cache, out = batch_loss(params, train_ds, text.train, batch, cfg.loss, sem)
-                    if not math.isfinite(out.value):
-                        raise NonFiniteGradient(f"the loss is {out.value}")
                     loss_acc.append(out.value)
                     if out.hard_neg_img is not None:
                         hard_neg_logs.append(
@@ -267,18 +265,15 @@ def train(
                         score = validate(params, val_ds, text.val).m_recall
                         epoch_fraction = batches_done / first_epoch_batches
                         loss_mean = float(np.mean(loss_acc))
-                        if not np.isfinite(loss_mean):
-                            raise NonFiniteGradient("the mean loss since the last validation"
-                                                    f" is {loss_mean}")
                         loss_acc = []
                         records.append((epoch_fraction, score, loss_mean))
                         if score > best:
                             best = score
                             best_epoch = epoch_fraction
                             best_params = params.copy()
-        except NonFiniteGradient as exc:
-            raise NonFiniteGradient(f"training diverged at epoch {epoch}, batch {b},"
-                                    f" learning_rate={lr}: {exc}") from None
+    except FloatingPointError as exc:
+        raise NonFiniteGradient(f"training diverged at epoch {epoch}, batch {b},"
+                                f" learning_rate={lr}: {exc}") from None
 
     suffix = f"_{tag}" if tag else ""
     checkpoint_path = out_dir / f"best{suffix}.ckpt"

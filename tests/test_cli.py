@@ -877,37 +877,44 @@ class TestErrorPaths:
         assert_no_child_left()
 
     @pytest.mark.parametrize("command, shown", [
-        (["train", "--set", "learning_rate=1e200"],
-         "batch 1, learning_rate=1e+200: the loss is nan"),
-        (["train", "--set", "loss.variant=lmh", "--set", "loss.alpha=1e308"],
-         "batch 0, learning_rate=0.2: the loss is inf"),
+        (["train", *TINY, "--set", "learning_rate=1e200"],
+         "batch 1, learning_rate=1e+200: overflow encountered in dot"),
+        (["train", *TINY, "--set", "loss.variant=lmh", "--set", "loss.alpha=1e308"],
+         "batch 0, learning_rate=0.2: overflow encountered in reduce"),
         # finite batch losses, but their mean over a validation window of two overflows
-        (["train", "--set", "loss.variant=lmh", "--set", "loss.alpha=1.5e307"],
-         "batch 1, learning_rate=0.2: the mean loss since the last validation is inf"),
-        (["compare", "--set", "learning_rate=1e200"],
-         "batch 1, learning_rate=1e+200: the loss is nan"),
-    ], ids=["train-lr", "train-lmh-alpha", "train-lmh-window-mean", "compare-lr"])
+        (["train", *TINY, "--set", "loss.variant=lmh", "--set", "loss.alpha=1.5e307"],
+         "batch 1, learning_rate=0.2: overflow encountered in reduce"),
+        (["compare", *TINY, "--set", "learning_rate=1e200"],
+         "batch 1, learning_rate=1e+200: overflow encountered in dot"),
+        # the default corpus: features that pass the pre-check, but whose squared
+        # norms overflow in a later batch, used to embed as the zero vector and train on
+        (["train", "--set", "loss.variant=lmh", "--set", "gen.noise=1e153", "--set", "epochs=1"],
+         "batch 13, learning_rate=0.2: overflow encountered in reduce"),
+        (["train", "--set", "loss.variant=lseh", "--set", "gen.noise=1e153", "--set", "epochs=1"],
+         "batch 13, learning_rate=0.2: overflow encountered in reduce"),
+    ], ids=["train-lr", "train-lmh-alpha", "train-lmh-window-mean", "compare-lr",
+            "train-lmh-noise", "train-lseh-noise"])
     def test_diverging_run_is_one_error_line(self, tmp_path, capsys, command, shown):
         # NumPy's overflow warnings used to come first, and an infinite lmh
         # loss used to train on and write `inf` rows
         out = tmp_path / "o"
-        code, stdout, err = run([*command, "--out", str(out), *TINY], capsys)
+        code, stdout, err = run([*command, "--out", str(out)], capsys)
         assert (code, stdout) == (1, "")
         assert err == f"error: training diverged at epoch 0, {shown}\n"
         assert not out.exists()
         assert_no_child_left()
 
     @pytest.mark.parametrize("lr", ["1e306", "1e308"])
-    def test_diverged_weights_fail_their_validation(self, tmp_path, capsys, lr):
-        # one step of 32 has finite gradients but leaves NaN or inf weights, whose NaN
-        # similarities used to rank every target first: recall 100 and an inf checkpoint
+    def test_diverging_update_fails_at_its_batch(self, tmp_path, capsys, lr):
+        # one step of 32 has finite gradients but would leave NaN or inf weights, whose
+        # NaN similarities used to rank every target first: recall 100 and an inf checkpoint
         out = tmp_path / "o"
         overrides = ["batch_size=32", "validation_step=1", f"learning_rate={lr}"]
         code, stdout, err = run(["train", "--out", str(out), *TINY,
                                  *(a for o in overrides for a in ("--set", o))], capsys)
         assert (code, stdout) == (1, "")
         assert err == (f"error: training diverged at epoch 0, batch 0, learning_rate={float(lr)}:"
-                       " the validation similarities hold NaN or inf\n")
+                       " overflow encountered in multiply\n")
         assert not out.exists()
 
     def test_overflowing_synthetic_features_fail_gen(self, tmp_path, capsys):

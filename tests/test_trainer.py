@@ -152,6 +152,33 @@ class TestTrain:
         assert r_decay.records != r_plain.records
 
 
+class TestNonFiniteInputs:
+    """A number from outside is checked where it enters, so the training loop's traps
+    see only the NaN or inf that it computes itself."""
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("field, message", [("alpha", "alpha must be finite"),
+                                                ("lam", "lambda must be finite")])
+    def test_loss_config_rejects_it(self, field, message, value):
+        # an infinite alpha or lambda used to fail at batch 0 as "the loss is inf"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LossConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_dataset_rejects_it_in_the_features(self, small_sets, value):
+        # NaN features used to fail at batch 0 as "the loss is nan"
+        tr, _ = small_sets
+        features = tr.features.copy()
+        features[1, 2] = value
+        with pytest.raises(ValueError, match="^the image features hold NaN or inf$"):
+            Dataset(features, tr.captions, tr.caption_image)
+
+    def test_nan_learning_rate_is_rejected(self):
+        # nan < 0 and nan > 0 are both False: it used to train without one update
+        with pytest.raises(ValueError, match="^learning_rate must be >= 0, got nan$"):
+            small_cfg(learning_rate=float("nan"))
+
+
 class TestPrepareText:
     CAPTIONS = ["a red bicycle", "two dogs running", "a red kite flying"]
     EMPTY_CAPTION_CASES = [
