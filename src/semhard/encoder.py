@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import read_matrices, write_matrices
-from .errors import BadCheckpoint, EmptySequence, ShapeMismatch, ZeroNormEmbedding
+from .errors import BadCheckpoint, ShapeMismatch
 
 CHECKPOINT_MAGIC = b"VSEC"
 CHECKPOINT_VERSION = 1
@@ -81,10 +81,8 @@ def init_params(
 
 
 def _unit_rows(pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of `pre` scaled to unit length, and their norms."""
+    """`pre`'s rows at unit length, and their norms; under `traps()` a norm of 0 or inf raises."""
     norms = np.sqrt(np.add.reduce(pre * pre, axis=1))  # np.linalg.norm's sum, undispatched
-    if np.count_nonzero(norms) < len(norms):
-        raise ZeroNormEmbedding("a projection produced the zero vector")
     return pre / norms[:, np.newaxis], norms
 
 
@@ -96,7 +94,7 @@ def _features(params: ModelParams, X: np.ndarray) -> np.ndarray:
 
 
 def encode_images(params: ModelParams, X: np.ndarray) -> np.ndarray:
-    """Row-normalized X @ W_img."""
+    """Row-normalized X @ W_img; run it under `trainer.traps()`, as `_unit_rows` says."""
     return _unit_rows(_features(params, X) @ params.W_img)[0]
 
 
@@ -131,10 +129,8 @@ def id_arrays(token_seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def token_layout(ids: np.ndarray, lengths: np.ndarray) -> TokenLayout:
-    """Lay out sequence-major token ids, `lengths[i]` of them in sequence i, once;
-    raises EmptySequence for an empty sequence."""
-    if not lengths.all():
-        raise EmptySequence(f"token sequence {int(np.argmin(lengths))} is empty")
+    """Lay out sequence-major token ids, `lengths[i]` of them in sequence i, once. An
+    empty sequence has no mean: encoding it under `trainer.traps()` raises."""
     padded = np.arange(lengths.max(initial=0)) < lengths[:, np.newaxis]
     grid = np.zeros(padded.shape, dtype=np.int64)
     grid[padded] = ids
@@ -172,14 +168,14 @@ def _mean_embeddings(params: ModelParams, layout: TokenLayout) -> np.ndarray:
 
 
 def encode_texts(params: ModelParams, tokens: TokenLayout | list[list[int]]) -> np.ndarray:
-    """Row-normalized (mean word embedding) @ W_txt, from id lists or their layout."""
+    """Row-normalized (mean word embedding) @ W_txt, from ids or layout; run it under `traps()`."""
     return _unit_rows(_mean_embeddings(params, _layout(tokens)) @ params.W_txt)[0]
 
 
 def forward(
     params: ModelParams, X: np.ndarray, tokens: TokenLayout | list[list[int]]
 ) -> ForwardCache:
-    """Encode a batch of (image features, token-id sequence) pairs, both towers in one array."""
+    """Encode (image features, token ids) pairs, both towers in one array; run under `traps()`."""
     X = _features(params, X)
     b = X.shape[0]
     if b != len(tokens):

@@ -5,10 +5,6 @@ class SemhardError(Exception):
     """Base class for all package-specific errors."""
 
 
-class AllDocumentsEmpty(SemhardError):
-    """Every document in the corpus was empty after preprocessing."""
-
-
 class KTooLarge(SemhardError):
     """The truncation rank is outside 1..min(n, w) - 1."""
 
@@ -20,10 +16,6 @@ class ConvergenceFailure(SemhardError):
 
 class ShapeMismatch(SemhardError):
     """Matrix shapes are inconsistent with the operation's contract."""
-
-
-class ZeroNormEmbedding(SemhardError):
-    """An embedding projected to the zero vector and cannot be normalized."""
 
 
 class EmptySequence(SemhardError):
@@ -53,7 +45,7 @@ class TruncatedFile(SemhardError):
 class BadCheckpoint(SemhardError, ValueError):
     """A binary matrix file (a checkpoint or a semantics export) has the wrong
     magic, an unsupported version, extra bytes, NaN or inf, or unfit shapes,
-    or a checkpoint's embeddings of the data overflow."""
+    or a checkpoint's embeddings of the data are not finite."""
 
 
 class MalformedLine(SemhardError):

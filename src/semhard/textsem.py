@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .data import read_matrices, write_matrices
-from .errors import AllDocumentsEmpty, BadCheckpoint, ConvergenceFailure, EmptyDataset, KTooLarge
+from .errors import BadCheckpoint, ConvergenceFailure, EmptyDataset, KTooLarge
 from .stemming import stem
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -121,16 +121,14 @@ def build_tfidf(docs: list[list[str]]) -> tuple[dict[str, int], TermDocMatrix]:
     x ln(n/df), no normalization, whose sparse form is built only when read.
 
     This is the one place the sorted term vocabulary is built. Raises
-    EmptyDataset for fewer than 2 documents (one alone has every idf 0),
-    and AllDocumentsEmpty when every token sequence is empty; an empty one
-    among others is an all-zero row. Rows follow corpus order; columns are
-    terms in sorted order.
+    EmptyDataset for fewer than 2 documents (one alone has every idf 0).
+    An empty document is an all-zero row, and a corpus of them has no
+    column; `trainer.prepare_text` rejects either at its caption. Rows
+    follow corpus order; columns are terms in sorted order.
     """
     if len(docs) < 2:
         raise EmptyDataset(f"TF-IDF needs at least 2 captions, got {len(docs)}")
     lengths = np.fromiter(map(len, docs), np.int64, len(docs))
-    if not lengths.any():
-        raise AllDocumentsEmpty("every document is empty after preprocessing")
 
     term_to_index = {t: j for j, t in enumerate(sorted({t for d in docs for t in d}))}
     ids = np.fromiter((term_to_index[t] for d in docs for t in d), np.int64, lengths.sum())

@@ -63,6 +63,8 @@ class TrainConfig:
                           ("seed", 0)):
             if not getattr(self, name) >= low:  # NaN fails too
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.learning_rate == np.inf:  # no trap sees it: inf * g and w - inf raise none
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
 
 
 @dataclass
@@ -178,8 +180,8 @@ def traps() -> np.errstate:
 
 @contextmanager
 def no_overflow(error: type[SemhardError], what: str):
-    """Fail as one `error`, `what` and the cause at the `with` body's first trap, such as
-    an overflow, which would otherwise only warn and embed every input as the zero vector."""
+    """Fail as one `error`, `what` and the cause at the `with` body's first trap, such as an
+    overflow or a row with no length, which would otherwise only warn and embed as 0 or NaN."""
     try:
         with traps():
             yield
@@ -230,7 +232,7 @@ def train(
         d_emb=cfg.d_emb,
         seed=cfg.seed,
     )
-    with no_overflow(SemhardError, "the image features are too large to embed"):
+    with no_overflow(SemhardError, "the image features are too large or too small to embed"):
         enc.encode_images(params, train_ds.features)
     sem = semantics(text, cfg.svd_k, cfg.seed) if cfg.loss.variant == "lseh" else None
 

@@ -274,12 +274,14 @@ class TestEvalAndDiag:
     @pytest.mark.parametrize("command", ["eval", "diag"])
     @pytest.mark.parametrize(("scaled", "scale"), [
         ("weights", 1e160), ("weights", 1e306), ("features", 1e200), ("features", 1e306),
+        ("features", 1e-200),
     ])
     def test_overflowing_embeddings_fail_as_one_error(self, tmp_path, capsys, command, scaled,
                                                       scale):
         # huge finite weights or huge finite features used to warn, score every
         # embedding as the zero vector and exit 0; either input can cause it,
-        # so the error names the checkpoint and the data, blaming neither
+        # so the error names the checkpoint and the data, blaming neither. Tiny
+        # features, whose squared norms underflow to 0, trap the same way
         data, run_dir = tmp_path / "data", tmp_path / "run"
         lmh = [*TINY, "--set", "loss.variant=lmh",
                "--set", f"data.captions={data / 'captions.tsv'}",
@@ -301,15 +303,16 @@ class TestEvalAndDiag:
             [command, "--checkpoint", str(checkpoint), "--out", str(out), *lmh], capsys
         )
         assert (code, stdout) == (1, "")
+        cause = "divide by zero encountered in divide" if scale < 1 else "overflow encountered in "
         assert err.startswith(f"error: {checkpoint} on this config's data:"
-                              " the embeddings overflow (")
+                              f" the embeddings are not finite ({cause}")
         assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "diag"])
     def test_checkpoint_that_projects_to_zero_is_named(self, tmp_path, capsys, command):
         # an all-zero W_img maps every image to the zero vector, which has no
-        # direction; the error used to name neither the checkpoint nor the data
+        # direction; its 0 / 0 traps like an overflow, naming the checkpoint and the data
         run_dir = tmp_path / "run"
         lmh = [*TINY, "--set", "loss.variant=lmh"]
         run(["train", "--out", str(run_dir), *lmh], capsys)
@@ -323,7 +326,7 @@ class TestEvalAndDiag:
         )
         assert (code, stdout) == (1, "")
         assert err == (f"error: {checkpoint} on this config's data:"
-                       " a projection produced the zero vector\n")
+                       " the embeddings are not finite (invalid value encountered in divide)\n")
         assert not out.exists()
 
 
@@ -368,6 +371,24 @@ class TestSvd:
             assert err == (f"error: {line}: {split} caption has no in-vocabulary token"
                            " after preprocessing\n"), (command, seed)
             assert not out.exists()
+
+    def test_corpus_with_no_token_fails_at_its_first_caption(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # every caption is stopwords, so the TF-IDF matrix has no column; this used to fail
+        # as "every document is empty after preprocessing", naming no file or line.
+        # Seed 0's split keeps line 1 in the train split
+        data = write_corpus(tmp_path, ["the of and", "a an the", "and the", "of a the"])
+        svd_calls = []
+        monkeypatch.setattr(semhard.trainer, "truncated_svd", lambda *a: svd_calls.append(a))
+        for command in ("svd", "train"):
+            out = tmp_path / command
+            code, stdout, err = run([command, "--out", str(out), *TINY, *data,
+                                     "--set", "validation_step=1"], capsys)
+            assert (code, stdout, svd_calls) == (1, "", []), command
+            assert err == (f"error: {tmp_path / 'data' / 'captions.tsv'}:1: train caption"
+                           " has no in-vocabulary token after preprocessing\n"), command
+            assert not out.exists()
+        assert_no_child_left()
 
     def test_one_caption_corpus_names_the_count(self, tmp_path, capsys):
         data = write_corpus(tmp_path, ["a red kite"])
@@ -926,20 +947,32 @@ class TestErrorPaths:
         assert err == "error: noise=1e+308 overflows the image features\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", [["train"], ["train", "--set", "loss.variant=lmh"],
-                                         ["compare"]], ids=["train-lseh", "train-lmh", "compare"])
+    @pytest.mark.parametrize("command, tiny", [
+        (["train"], False), (["train", "--set", "loss.variant=lmh"], False), (["compare"], False),
+        (["train"], True),
+    ], ids=["train-lseh", "train-lmh", "compare", "train-lseh-files-1e-200"])
     def test_features_too_large_to_embed_fail_before_the_svd(self, tmp_path, capsys,
-                                                             monkeypatch, command):
+                                                             monkeypatch, command, tiny):
         # noise=1e200 gives finite features whose squared norms overflow; unchecked,
-        # every image embeds as the zero vector and `train` exits 0
+        # every image embeds as the zero vector and `train` exits 0. Features scaled by
+        # 1e-200 are finite and nonzero, but their projections' squared norms underflow
+        # to 0, which used to fail as "a projection produced the zero vector"
+        data, cause = ["--set", "gen.noise=1e200"], "overflow encountered in multiply"
+        if tiny:
+            files = tmp_path / "data" / "captions.tsv", tmp_path / "data" / "features.txt"
+            run(["gen", "--out", str(tmp_path / "data"), *TINY], capsys)
+            ds = load_dataset(*files)
+            ds.features *= 1e-200
+            save_dataset(ds, *files)
+            data = ["--set", f"data.captions={files[0]}", "--set", f"data.features={files[1]}"]
+            cause = "divide by zero encountered in divide"
         svd_calls = []
         monkeypatch.setattr(semhard.trainer, "truncated_svd", lambda *a: svd_calls.append(a))
         out = tmp_path / "o"
-        code, stdout, err = run([command[0], "--out", str(out), *TINY, *command[1:],
-                                 "--set", "gen.noise=1e200"], capsys)
+        code, stdout, err = run([command[0], "--out", str(out), *TINY, *command[1:], *data],
+                                capsys)
         assert (code, stdout, svd_calls) == (1, "", [])
-        assert err == ("error: the image features are too large to embed"
-                       " (overflow encountered in multiply)\n")
+        assert err == f"error: the image features are too large or too small to embed ({cause})\n"
         assert not out.exists()
         assert_no_child_left()
 

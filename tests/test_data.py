@@ -399,3 +399,25 @@ def test_only_open_whole_writes():
         for node in ast.walk(top) if isinstance(node, ast.Call) and writes(node)
     }
     assert sites == {("data.py", "open_whole")}
+
+
+def test_non_finite_rule_stays_in_one_place():
+    # numbers from outside are checked where they enter, and everything computed from
+    # them traps under `trainer.traps()`: no scan, error state or catch drifts elsewhere
+    def uses(node):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return f"{node.value.id}.{node.attr}"
+        if isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Name):
+            return f"except {node.type.id}"
+        return None
+
+    sites = {}
+    for path in Path(semhard.data.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                sites.setdefault(uses(node), set()).add((path.stem, getattr(top, "name", None)))
+    assert sites["np.isfinite"] == {("data", "Dataset"), ("data", "read_matrices"),
+                                    ("data", "_load_features"), ("data", "generate_synthetic"),
+                                    ("trainer", "_assign")}
+    assert sites["np.errstate"] == {("trainer", "traps"), ("data", "generate_synthetic")}
+    assert sites["except FloatingPointError"] == {("trainer", "no_overflow"), ("trainer", "train")}

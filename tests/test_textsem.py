@@ -10,8 +10,7 @@ import scipy.sparse as sp
 
 from semhard import textsem
 from semhard.data import SyntheticSpec, generate_synthetic, split_dataset, write_matrices
-from semhard.errors import (AllDocumentsEmpty, BadCheckpoint, ConvergenceFailure, KTooLarge,
-                            SemhardError)
+from semhard.errors import BadCheckpoint, ConvergenceFailure, KTooLarge, SemhardError
 from semhard.stemming import stem
 from semhard.textsem import (
     PreprocessConfig,
@@ -183,10 +182,6 @@ class TestBuildTfidf:
         assert tdm.ids.dtype == np.int64
         assert tdm.ids.tolist() == [vocab[t] for d in docs for t in d]
         assert tdm.lengths.tolist() == [3, 0, 1, 2]
-
-    def test_all_documents_empty(self):
-        with pytest.raises(AllDocumentsEmpty):
-            build_tfidf([[], []])
 
     def test_empty_row_warns_and_stays_zero(self):
         _, tdm = build_tfidf([["a"], [], ["b"]])

@@ -178,6 +178,12 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="^learning_rate must be >= 0, got nan$"):
             small_cfg(learning_rate=float("nan"))
 
+    def test_inf_learning_rate_is_rejected(self):
+        # no trap sees it: inf * g and w - inf raise no flag, so the run used to
+        # write inf weights and fail one batch late
+        with pytest.raises(ValueError, match="^learning_rate must be finite, got inf$"):
+            small_cfg(learning_rate=float("inf"))
+
 
 class TestPrepareText:
     CAPTIONS = ["a red bicycle", "two dogs running", "a red kite flying"]
