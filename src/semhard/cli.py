@@ -29,7 +29,7 @@ from .data import (
     save_dataset,
     split_dataset,
 )
-from .errors import BadCheckpoint, SemhardError, ShapeMismatch
+from .errors import SemhardError
 from .evaluation import (
     efficiency_difference,
     epochs_to_threshold,
@@ -153,13 +153,13 @@ def _checkpoint_text(checkpoint, cfg, train_ds, val_ds=None):
     which must be as large as the one it was trained on."""
     params = enc.load_checkpoint(checkpoint)
     if params.W_img.shape[0] != train_ds.features.shape[1]:
-        raise ShapeMismatch(f"{checkpoint}: the checkpoint takes {params.W_img.shape[0]}-wide"
-                            f" image features, but this config's are {train_ds.features.shape[1]}")
+        raise SemhardError(f"{checkpoint}: the checkpoint takes {params.W_img.shape[0]}-wide"
+                           f" image features, but this config's are {train_ds.features.shape[1]}")
     val_captions, val_lines = ([], None) if val_ds is None else (val_ds.captions, val_ds.lines)
     text = trainer.prepare_text(train_ds.captions, val_captions, _preprocess_config(cfg),
                                 train_ds.lines, val_lines)
     if params.E_word.shape[0] != text.vocab_size:
-        raise ShapeMismatch(
+        raise SemhardError(
             f"{checkpoint}: the checkpoint embeds {params.E_word.shape[0]} words,"
             f" but this config's training split has {text.vocab_size};"
             " pass the training run's config and seed"
@@ -169,8 +169,7 @@ def _checkpoint_text(checkpoint, cfg, train_ds, val_ds=None):
 
 def _no_overflow(checkpoint):
     """`trainer.no_overflow` for a checkpoint's embeddings, blaming neither it nor the data."""
-    return trainer.no_overflow(
-        BadCheckpoint, f"{checkpoint} on this config's data: the embeddings are not finite")
+    return trainer.no_overflow(f"{checkpoint} on this config's data: the embeddings are not finite")
 
 
 def _run_one_training(cfg, out_dir, split, variant=None):
@@ -334,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args, _load_config(args))
-    except (SemhardError, OSError, ValueError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

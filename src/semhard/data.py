@@ -23,17 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadCheckpoint,
-    BadConfigValue,
-    DimensionMismatch,
-    DuplicateDescriptionId,
-    EmptyDataset,
-    MalformedLine,
-    MissingImageId,
-    TruncatedFile,
-    UncaptionedImage,
-)
+from .errors import SemhardError
 
 
 @dataclass(frozen=True)
@@ -82,14 +72,15 @@ class Dataset:
 
 
 def read_lines(path: str | Path) -> list[str]:
-    """The lines of a UTF-8 file, split at line ends alone (not at U+2028 or form feeds);
-    a byte that is not UTF-8 fails as MalformedLine at `path:line`."""
-    try:  # read_text turns \r\n and \r into \n
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    """The lines of a UTF-8 file, split at line ends alone (not at U+2028 or form feeds),
+    without the byte-order mark that may start it; a byte that is not UTF-8 fails at
+    `path:line`."""
+    try:  # read_text turns \r\n and \r into \n; the error's bytes exclude a byte-order mark
+        lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
     except UnicodeDecodeError as exc:  # read_text decodes the whole file in one call
         read = exc.object[:exc.start]  # a line ends at \n, \r\n or \r
         line = read.count(b"\n") + read.count(b"\r") - read.count(b"\r\n") + 1
-        raise MalformedLine(f"{path}:{line}: not UTF-8 ({exc.reason})") from None
+        raise SemhardError(f"{path}:{line}: not UTF-8 ({exc.reason})") from None
     if not lines[-1]:  # a final line end starts no line, and an empty file has none
         lines.pop()
     return lines
@@ -127,29 +118,27 @@ def write_matrices(path: str | Path, magic: bytes, version: int, mats: list[np.n
 
 
 def read_matrices(path: str | Path, magic: bytes, version: int, count: int) -> list[np.ndarray]:
-    """The `count` matrices of a binary matrix file. A wrong magic or version,
-    bytes past the last matrix, or a NaN or inf value fail as BadCheckpoint;
-    a short file as TruncatedFile. Each error names `path`."""
+    """The `count` matrices of a binary matrix file. A wrong magic or version, a
+    size other than the shapes need, or a NaN or inf value fails naming `path`."""
     raw = Path(path).read_bytes()
     if raw[:4] != magic:
-        raise BadCheckpoint(f"{path}: starts with {raw[:4]!r}, not the magic {magic!r}")
+        raise SemhardError(f"{path}: starts with {raw[:4]!r}, not the magic {magic!r}")
     header = 8 + 8 * count
     if len(raw) < header:
-        raise TruncatedFile(f"{path}: {len(raw)} bytes, shorter than the {header}-byte header")
+        raise SemhardError(f"{path}: {len(raw)} bytes, shorter than the {header}-byte header")
     found, *dims = struct.unpack_from(f"<I{2 * count}I", raw, 4)
     if found != version:
-        raise BadCheckpoint(f"{path}: unsupported version {found}, expected {version}")
+        raise SemhardError(f"{path}: unsupported version {found}, expected {version}")
     shapes = list(zip(dims[::2], dims[1::2]))
     expected = header + 8 * sum(r * c for r, c in shapes)
     if len(raw) != expected:
-        error = TruncatedFile if len(raw) < expected else BadCheckpoint
-        raise error(f"{path}: {len(raw)} bytes, but shapes {shapes} need {expected}")
+        raise SemhardError(f"{path}: {len(raw)} bytes, but shapes {shapes} need {expected}")
     mats, off = [], header
     for r, c in shapes:
         mats.append(np.frombuffer(raw, "<f8", r * c, off).reshape(r, c).copy())
         off += 8 * r * c
         if not np.isfinite(mats[-1]).all():
-            raise BadCheckpoint(f"{path}: matrix {len(mats)} of {count} holds NaN or inf")
+            raise SemhardError(f"{path}: matrix {len(mats)} of {count} holds NaN or inf")
     return mats
 
 
@@ -165,11 +154,10 @@ def load_dataset(captions_path: str | Path, features_path: str | Path) -> Datase
     seen_ids: set[str] = set()
     for lineno, desc_id, img, text in caption_lines(captions_path):
         if desc_id in seen_ids:
-            raise DuplicateDescriptionId(
-                f"{captions_path}:{lineno}: duplicate description id {desc_id!r}")
+            raise SemhardError(f"{captions_path}:{lineno}: duplicate description id {desc_id!r}")
         seen_ids.add(desc_id)
         if not 0 <= img < n_img:
-            raise MissingImageId(
+            raise SemhardError(
                 f"{captions_path}:{lineno}: caption {desc_id!r} references image {img}")
         captions.append(text)
         caption_image.append(img)
@@ -178,11 +166,10 @@ def load_dataset(captions_path: str | Path, features_path: str | Path) -> Datase
     uncaptioned = np.flatnonzero(np.bincount(caption_image, minlength=n_img) == 0)
     if uncaptioned.size:
         img = uncaptioned[0]
-        raise UncaptionedImage(
-            f"{features_path}:{img + 2}: image {img} has no caption in {captions_path}"
-        )
+        raise SemhardError(
+            f"{features_path}:{img + 2}: image {img} has no caption in {captions_path}")
     if not captions:
-        raise EmptyDataset(f"{captions_path}: holds no captions")
+        raise SemhardError(f"{captions_path}: holds no captions")
 
     lines = CaptionLines(str(captions_path), np.array(numbers, dtype=np.int64))
     return Dataset(features, captions, caption_image, lines)
@@ -190,8 +177,7 @@ def load_dataset(captions_path: str | Path, features_path: str | Path) -> Datase
 
 def caption_lines(path: str | Path) -> Iterator[tuple[int, str, int, str]]:
     """Each non-blank line of a captions TSV as (1-based line number, description
-    id, image id, caption text); a line that breaks the format fails as
-    MalformedLine at `path:line`."""
+    id, image id, caption text); a line that breaks the format fails at `path:line`."""
     for lineno, line in enumerate(read_lines(path), 1):
         if not line.strip():
             continue
@@ -201,7 +187,7 @@ def caption_lines(path: str | Path) -> Iterator[tuple[int, str, int, str]]:
                 raise ValueError(image_id)
             img = int(image_id)  # which fails past 4,300 digits
         except ValueError:
-            raise MalformedLine(
+            raise SemhardError(
                 f"{path}:{lineno}: expected description_id<TAB>image_id<TAB>caption"
                 " with a whole-number image_id"
             ) from None
@@ -213,22 +199,22 @@ def _load_features(path: str | Path) -> np.ndarray:
     nothing but blank lines."""
     lines = read_lines(path)
     if not lines:
-        raise TruncatedFile(f"{path}:1: the file is empty; expected the header `n_img d_img`")
+        raise SemhardError(f"{path}:1: the file is empty; expected the header `n_img d_img`")
     header = lines[0].split()
     try:  # a field count other than 2, or a number past int()'s 4,300-digit limit
         n_img, d_img = map(int, header) if all(x.isdecimal() for x in header) else ()
     except ValueError:
         n_img = d_img = 0
     if d_img < 1:
-        raise MalformedLine(f"{path}:1: the header `n_img d_img` must be whole numbers, d_img >= 1")
+        raise SemhardError(f"{path}:1: the header `n_img d_img` must be whole numbers, d_img >= 1")
     if len(lines) < 1 + n_img:
-        raise TruncatedFile(
+        raise SemhardError(
             f"{path}:{len(lines) + 1}: feature row {len(lines) - 1} is missing;"
             f" the header declares {n_img} rows"
         )
     extra = next((i for i in range(1 + n_img, len(lines)) if lines[i].strip()), None)
     if extra is not None:
-        raise MalformedLine(
+        raise SemhardError(
             f"{path}:{extra + 1}: a line past the last feature row; the header declares {n_img} rows"
         )
     # as wide as the first row, so a d_img that row breaks fails on it, not in the allocation
@@ -237,19 +223,19 @@ def _load_features(path: str | Path) -> np.ndarray:
     for i in range(n_img):
         fields = lines[1 + i].split()
         if len(fields) != d_img:
-            raise DimensionMismatch(
+            raise SemhardError(
                 f"{path}:{i + 2}: feature row {i} has {len(fields)} values, expected {d_img}"
             )
         try:
             features[i] = fields  # NumPy parses the strings as float() does
         except ValueError:
-            raise MalformedLine(f"{path}:{i + 2}: feature row {i} holds a non-number") from None
+            raise SemhardError(f"{path}:{i + 2}: feature row {i} holds a non-number") from None
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
-        raise MalformedLine(f"{path}:{bad[0] + 2}: feature row {bad[0]} holds NaN or inf")
+        raise SemhardError(f"{path}:{bad[0] + 2}: feature row {bad[0]} holds NaN or inf")
     zero = np.flatnonzero(~features.any(axis=1))
     if zero.size:  # every projection of it is the zero vector, which has no direction
-        raise MalformedLine(f"{path}:{zero[0] + 2}: feature row {zero[0]} is all zeros")
+        raise SemhardError(f"{path}:{zero[0] + 2}: feature row {zero[0]} is all zeros")
     return features
 
 
@@ -334,7 +320,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
                 caption_image.append(img)
 
     if not np.isfinite(features).all():
-        raise BadConfigValue(f"noise={spec.noise} overflows the image features")
+        raise SemhardError(f"noise={spec.noise} overflows the image features")
     return Dataset(features=features, captions=captions, caption_image=caption_image)
 
 

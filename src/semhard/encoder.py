@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import read_matrices, write_matrices
-from .errors import BadCheckpoint, ShapeMismatch
+from .errors import SemhardError
 
 CHECKPOINT_MAGIC = b"VSEC"
 CHECKPOINT_VERSION = 1
@@ -89,7 +89,7 @@ def _unit_rows(pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _features(params: ModelParams, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != params.W_img.shape[0]:
-        raise ShapeMismatch(f"feature dim {X.shape[1]} != W_img rows {params.W_img.shape[0]}")
+        raise SemhardError(f"feature dim {X.shape[1]} != W_img rows {params.W_img.shape[0]}")
     return X
 
 
@@ -179,7 +179,7 @@ def forward(
     X = _features(params, X)
     b = X.shape[0]
     if b != len(tokens):
-        raise ShapeMismatch("batch sizes of images and texts disagree")
+        raise SemhardError("batch sizes of images and texts disagree")
     layout = _layout(tokens)
     means = _mean_embeddings(params, layout)
     pre = np.empty((2 * b, params.W_img.shape[1]))
@@ -204,7 +204,7 @@ def backward(params: ModelParams, cache: ForwardCache, grad_S: np.ndarray) -> Gr
     b = cache.X.shape[0]
     grad_S = np.asarray(grad_S, dtype=np.float64)
     if grad_S.shape != (b, b):
-        raise ShapeMismatch(f"grad_S must be {(b, b)}, got {grad_S.shape}")
+        raise SemhardError(f"grad_S must be {(b, b)}, got {grad_S.shape}")
 
     g_emb = np.empty_like(cache.emb)
     grad_S.dot(cache.U, out=g_emb[:b])
@@ -247,9 +247,9 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    """The saved weights; a W_txt that does not join E_word to W_img fails as BadCheckpoint."""
+    """The saved weights; a W_txt that does not join E_word to W_img fails naming `path`."""
     W_img, E_word, W_txt = read_matrices(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, 3)
     need = (E_word.shape[1], W_img.shape[1])  # d_word x d_emb
     if W_txt.shape != need:
-        raise BadCheckpoint(f"{path}: W_txt is {W_txt.shape}, but E_word and W_img need {need}")
+        raise SemhardError(f"{path}: W_txt is {W_txt.shape}, but E_word and W_img need {need}")
     return ModelParams(W_img, E_word, W_txt)

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import open_whole
-from .errors import ShapeMismatch
+from .errors import SemhardError
 
 I2T = "i2t"
 T2I = "t2i"
@@ -93,7 +93,7 @@ def _direction_ranks(sim: np.ndarray, relevance: RelevanceMap, direction: str) -
     sim = np.asarray(sim)
     n_img, n_desc = sim.shape
     if len(relevance.img_to_desc) != n_img or len(relevance.desc_to_img) != n_desc:
-        raise ShapeMismatch("similarity shape disagrees with relevance map")
+        raise SemhardError("similarity shape disagrees with relevance map")
     if direction == I2T:
         grid = relevance.desc_grid
         rows = np.arange(n_img)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import SemhardError
 from .textsem import unit_rows
 
 VARIANTS = ("lsh", "lmh", "lseh")
@@ -47,14 +47,14 @@ class SimilarityBlock:
     def __post_init__(self):
         S = np.asarray(self.S, dtype=np.float64)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise ShapeMismatch(f"S must be square, got {S.shape}")
+            raise SemhardError(f"S must be square, got {S.shape}")
         if S.shape[0] < 2:
-            raise ShapeMismatch("similarity block needs b >= 2")
+            raise SemhardError("similarity block needs b >= 2")
         self.S = S
         if self.F is not None:
             F = np.asarray(self.F, dtype=np.float64)
             if F.shape != S.shape:
-                raise ShapeMismatch(f"F shape {F.shape} != S shape {S.shape}")
+                raise SemhardError(f"F shape {F.shape} != S shape {S.shape}")
             self.F = F
 
     @property

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .data import read_matrices, write_matrices
-from .errors import BadCheckpoint, ConvergenceFailure, EmptyDataset, KTooLarge
+from .errors import SemhardError
 from .stemming import stem
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -120,14 +120,14 @@ def build_tfidf(docs: list[list[str]]) -> tuple[dict[str, int], TermDocMatrix]:
     """The term -> column map and the TF-IDF term-document matrix: raw count
     x ln(n/df), no normalization, whose sparse form is built only when read.
 
-    This is the one place the sorted term vocabulary is built. Raises
-    EmptyDataset for fewer than 2 documents (one alone has every idf 0).
+    This is the one place the sorted term vocabulary is built. Fewer than
+    2 documents fail (one alone has every idf 0).
     An empty document is an all-zero row, and a corpus of them has no
     column; `trainer.prepare_text` rejects either at its caption. Rows
     follow corpus order; columns are terms in sorted order.
     """
     if len(docs) < 2:
-        raise EmptyDataset(f"TF-IDF needs at least 2 captions, got {len(docs)}")
+        raise SemhardError(f"TF-IDF needs at least 2 captions, got {len(docs)}")
     lengths = np.fromiter(map(len, docs), np.int64, len(docs))
 
     term_to_index = {t: j for j, t in enumerate(sorted({t for d in docs for t in d}))}
@@ -154,14 +154,14 @@ def truncated_svd(
 
     Every route needs 1 <= k < min(n, w), the rank ARPACK can compute, and
     gives B = M @ V with each V column's largest-magnitude entry positive.
-    Raises KTooLarge for any other k, and ConvergenceFailure when the
-    subspace iteration does not converge or ARPACK fails.
+    Any other k fails, and so does a subspace iteration that does not
+    converge or an ARPACK call that fails.
     """
     n, w = M.shape
     dense = isinstance(M, np.ndarray)
     if not 1 <= k < min(n, w):
-        raise KTooLarge(f"k={k} is outside 1..{min(n, w) - 1} for the SVD of a {n}x{w}"
-                        f" {'array' if dense else 'sparse matrix'}")
+        raise SemhardError(f"k={k} is outside 1..{min(n, w) - 1} for the SVD of a {n}x{w}"
+                           f" {'array' if dense else 'sparse matrix'}")
 
     rng = np.random.default_rng(seed)
     if not dense:
@@ -173,7 +173,7 @@ def truncated_svd(
         try:
             lam, V = eigsh(gram, k=k, tol=0, v0=rng.standard_normal(w))
         except ArpackError as exc:
-            raise ConvergenceFailure(f"ARPACK failed for k={k} on a {n}x{w} matrix: {exc}") from exc
+            raise SemhardError(f"ARPACK failed for k={k} on a {n}x{w} matrix: {exc}") from exc
         return _reduced_semantics(M, np.sqrt(np.maximum(lam, 0)), V.T)
 
     Y = M
@@ -188,7 +188,7 @@ def truncated_svd(
                 break
             prev = s
         else:
-            raise ConvergenceFailure(
+            raise SemhardError(
                 f"singular values did not stabilize within {SVD_MAX_ITERS} "
                 f"iterations for k={k} on a {n}x{w} matrix"
             )
@@ -227,5 +227,5 @@ def read_exported_semantics(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read back an exported B matrix and its singular values, one per B column."""
     B, sv = read_matrices(path, EXPORT_MAGIC, EXPORT_VERSION, 2)
     if sv.shape != (1, B.shape[1]):
-        raise BadCheckpoint(f"{path}: singular values are {sv.shape}, expected {(1, B.shape[1])}")
+        raise SemhardError(f"{path}: singular values are {sv.shape}, expected {(1, B.shape[1])}")
     return B, sv[0]

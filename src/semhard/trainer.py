@@ -21,8 +21,7 @@ import numpy as np
 
 from . import encoder as enc
 from .data import CaptionLines, Dataset, SyntheticSpec, minibatches, read_lines
-from .errors import (BadConfigValue, BeforeFirstValidation, EmptyDataset, EmptySequence,
-                     MalformedLine, NonFiniteGradient, SemhardError, UnknownConfigKey)
+from .errors import SemhardError
 from .evaluation import RetrievalReport, retrieval_report, write_csv
 from .losses import (
     LossConfig,
@@ -105,8 +104,8 @@ def prepare_text(
     vocabulary of the train split's TF-IDF matrix, dropping out-of-vocabulary
     tokens. Runs no SVD.
 
-    Raises EmptySequence for a caption of either split that keeps no
-    in-vocabulary token: the encoder cannot embed it. The error names the
+    A caption of either split that keeps no in-vocabulary token fails: the
+    encoder cannot embed it. The error names the
     caption's `path:line` when the split's `CaptionLines` are given, and
     its index in the split otherwise.
     """
@@ -118,27 +117,27 @@ def prepare_text(
             empty = int(np.argmin(lengths))  # the first empty caption
             caption = (f"{split} caption {empty}" if lines is None
                        else f"{lines.where(empty)}: {split} caption")
-            raise EmptySequence(f"{caption} has no in-vocabulary token after preprocessing")
+            raise SemhardError(f"{caption} has no in-vocabulary token after preprocessing")
     return PreparedText(len(index), tdm, val)
 
 
 def semantics(text: PreparedText, k_ceiling: int, seed: int) -> ReducedSemantics:
     """The train split's semantics: the truncated SVD of its n x w TF-IDF
     matrix at rank min(k_ceiling, min(n, w) - 1). A vocabulary of one term
-    leaves no rank and fails as EmptyDataset before the SVD.
+    leaves no rank and fails before the SVD.
 
     The matrix's size picks its form, and its form picks the solver: one of
     at most DENSE_MAX_ENTRIES entries (8 MB) goes to the SVD as a NumPy
     array, which spares the `scipy.sparse` import, and a larger one as the
     sparse matrix, which ARPACK reduces. A zero matrix, where every term
-    occurs in every caption, fails as EmptyDataset before the SVD too."""
+    occurs in every caption, fails before the SVD too."""
     if text.vocab_size < 2:
-        raise EmptyDataset(f"the train split's vocabulary holds {text.vocab_size} term after"
+        raise SemhardError(f"the train split's vocabulary holds {text.vocab_size} term after"
                            " preprocessing; the SVD needs at least 2")
     n, w = text.tfidf.shape
     M = text.tfidf.dense() if n * w <= DENSE_MAX_ENTRIES else text.tfidf.matrix
     if M.max() == 0:  # the weights are >= 0
-        raise EmptyDataset(f"no term is missing from any of the train split's {n} captions,"
+        raise SemhardError(f"no term is missing from any of the train split's {n} captions,"
                            " so every idf is 0 and the TF-IDF matrix is zero")
     return truncated_svd(M, min(k_ceiling, n - 1, w - 1), seed)
 
@@ -179,14 +178,14 @@ def traps() -> np.errstate:
 
 
 @contextmanager
-def no_overflow(error: type[SemhardError], what: str):
-    """Fail as one `error`, `what` and the cause at the `with` body's first trap, such as an
-    overflow or a row with no length, which would otherwise only warn and embed as 0 or NaN."""
+def no_overflow(what: str):
+    """Fail as one SemhardError, `what` and the cause, at the `with` body's first trap, such as
+    an overflow or a row with no length, which would otherwise only warn and embed as 0 or NaN."""
     try:
         with traps():
             yield
     except FloatingPointError as exc:
-        raise error(f"{what} ({exc})") from None
+        raise SemhardError(f"{what} ({exc})") from None
 
 
 def validate(params: enc.ModelParams, val_ds: Dataset,
@@ -198,10 +197,9 @@ def validate(params: enc.ModelParams, val_ds: Dataset,
 
 
 def check_val_split(val_ds: Dataset) -> None:
-    """Raise BeforeFirstValidation for a validation split with no caption."""
+    """Fail for a validation split with no caption."""
     if val_ds.n_captions == 0:
-        raise BeforeFirstValidation(
-            "the validation split holds no caption: no image has two captions")
+        raise SemhardError("the validation split holds no caption: no image has two captions")
 
 
 def train(
@@ -219,7 +217,7 @@ def train(
     check_val_split(val_ds)
     first_epoch_batches = len(minibatches(train_ds.n_captions, cfg.batch_size, cfg.seed, 0))
     if cfg.epochs * first_epoch_batches < cfg.validation_step:  # every epoch has as many batches
-        raise BeforeFirstValidation(
+        raise SemhardError(
             f"the run would never validate: {cfg.epochs} epochs x {first_epoch_batches}"
             f" batches < validation_step={cfg.validation_step}")
     out_dir = Path(out_dir)
@@ -232,7 +230,7 @@ def train(
         d_emb=cfg.d_emb,
         seed=cfg.seed,
     )
-    with no_overflow(SemhardError, "the image features are too large or too small to embed"):
+    with no_overflow("the image features are too large or too small to embed"):
         enc.encode_images(params, train_ds.features)
     sem = semantics(text, cfg.svd_k, cfg.seed) if cfg.loss.variant == "lseh" else None
 
@@ -274,8 +272,8 @@ def train(
                             best_epoch = epoch_fraction
                             best_params = params.copy()
     except FloatingPointError as exc:
-        raise NonFiniteGradient(f"training diverged at epoch {epoch}, batch {b},"
-                                f" learning_rate={lr}: {exc}") from None
+        raise SemhardError(f"training diverged at epoch {epoch}, batch {b},"
+                           f" learning_rate={lr}: {exc}") from None
 
     suffix = f"_{tag}" if tag else ""
     checkpoint_path = out_dir / f"best{suffix}.ckpt"
@@ -339,9 +337,9 @@ def _assign(cfg: dict[str, object], pair: str, where: str) -> None:
     `--set` or `--seed`) and, once parsed, the key."""
     key, sep, raw = (part.strip() for part in pair.partition("="))
     if not sep:
-        raise MalformedLine(f"{where}: expected key=value, got {pair!r}")
+        raise SemhardError(f"{where}: expected key=value, got {pair!r}")
     if key not in CONFIG_DEFAULTS:
-        raise UnknownConfigKey(f"{where}: unknown key {key!r}")
+        raise SemhardError(f"{where}: unknown key {key!r}")
     kind = type(CONFIG_DEFAULTS[key])
     try:
         value = _BOOLS[raw.lower()] if kind is bool else kind(raw)
@@ -349,7 +347,7 @@ def _assign(cfg: dict[str, object], pair: str, where: str) -> None:
     except (KeyError, ValueError):
         ok = False
     if not ok:
-        raise BadConfigValue(f"{where}: {key} expects {_EXPECTS[kind]}, got {raw!r}")
+        raise SemhardError(f"{where}: {key} expects {_EXPECTS[kind]}, got {raw!r}")
     try:  # range-check the value alone, before the run starts, by its owning class if any
         if key in _FIELDS:
             owner, name = _FIELDS[key]
@@ -357,7 +355,7 @@ def _assign(cfg: dict[str, object], pair: str, where: str) -> None:
         elif key == "val_fraction" and not 0.0 < value < 1.0:
             raise ValueError("val_fraction must lie in (0, 1)")
     except ValueError as exc:
-        raise BadConfigValue(f"{where}: {key}: {exc}") from None
+        raise SemhardError(f"{where}: {key}: {exc}") from None
     cfg[key] = value
 
 

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import os
 import re
 from pathlib import Path
@@ -10,23 +11,20 @@ import semhard.data
 from semhard.data import (
     Dataset,
     SyntheticSpec,
+    caption_lines,
     generate_synthetic,
     load_dataset,
     minibatches,
+    read_lines,
     save_dataset,
     split_dataset,
 )
-from semhard.errors import (
-    DimensionMismatch,
-    DuplicateDescriptionId,
-    MalformedLine,
-    MissingImageId,
-    TruncatedFile,
-    UncaptionedImage,
-)
+from semhard.errors import SemhardError
 from semhard.evaluation import write_csv
 from semhard.losses import semantic_factor_matrix
+from semhard.stopwords import load_stopwords
 from semhard.textsem import PreprocessConfig, build_tfidf, preprocess, truncated_svd
+from semhard.trainer import parse_config_file
 
 
 def write_pair(tmp_path, caption_lines, feature_lines):
@@ -56,30 +54,30 @@ class TestLoadDataset:
         cap, feat = write_pair(
             tmp_path, ["d0\t0\tok", "d1\t7\tbad"], ["1 2", "0.0 1.0"]
         )
-        with pytest.raises(MissingImageId):
+        with pytest.raises(SemhardError, match="caption 'd1' references image 7"):
             load_dataset(cap, feat)
 
     def test_duplicate_description_id(self, tmp_path):
         cap, feat = write_pair(
             tmp_path, ["d0\t0\tfirst", "d0\t0\tsecond"], ["1 2", "0.0 1.0"]
         )
-        with pytest.raises(DuplicateDescriptionId):
+        with pytest.raises(SemhardError, match="duplicate description id 'd0'"):
             load_dataset(cap, feat)
 
     def test_dimension_mismatch(self, tmp_path):
         cap, feat = write_pair(tmp_path, ["d0\t0\tok"], ["1 3", "0.0 1.0"])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(SemhardError, match="feature row 0 has 2 values, expected 3"):
             load_dataset(cap, feat)
 
     def test_dimension_mismatch_names_file_and_line(self, tmp_path):
         cap, feat = write_pair(tmp_path, ["d0\t0\tok"], ["2 2", "0.0 1.0", "2.0"])
-        with pytest.raises(DimensionMismatch, match=re.escape(f"{feat}:3:")):
+        with pytest.raises(SemhardError, match=re.escape(f"{feat}:3: feature row 1 has 1 values")):
             load_dataset(cap, feat)
 
     def test_empty_features_file(self, tmp_path):
         cap, feat = write_pair(tmp_path, ["d0\t0\tok"], [])
         feat.write_text("")
-        with pytest.raises(TruncatedFile, match=re.escape(f"{feat}:1:")):
+        with pytest.raises(SemhardError, match=re.escape(f"{feat}:1: the file is empty")):
             load_dataset(cap, feat)
 
     @pytest.mark.parametrize("header", [
@@ -88,7 +86,7 @@ class TestLoadDataset:
     ])
     def test_malformed_header(self, tmp_path, header):
         cap, feat = write_pair(tmp_path, ["d0\t0\tok"], [header, "0.0 1.0"])
-        with pytest.raises(MalformedLine, match=re.escape(f"{feat}:1:")):
+        with pytest.raises(SemhardError, match=re.escape(f"{feat}:1: the header `n_img d_img`")):
             load_dataset(cap, feat)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity", "x1"])
@@ -96,7 +94,7 @@ class TestLoadDataset:
         cap, feat = write_pair(
             tmp_path, ["d0\t0\tok"], ["3 2", "0.0 1.0", "1.0 2.0", f"{bad} 1.0"]
         )
-        with pytest.raises(MalformedLine, match=re.escape(f"{feat}:4:")):
+        with pytest.raises(SemhardError, match=re.escape(f"{feat}:4: feature row 2 holds ")):
             load_dataset(cap, feat)
 
     @pytest.mark.parametrize("tail, line", [
@@ -107,7 +105,7 @@ class TestLoadDataset:
             tmp_path, ["d0\t0\tred cat", "d1\t1\tblue dog"], ["2 2", "0.0 1.0", "1.0 2.0", *tail]
         )
         message = f"{feat}:{line}: a line past the last feature row; the header declares 2 rows"
-        with pytest.raises(MalformedLine, match=re.escape(message)):
+        with pytest.raises(SemhardError, match=re.escape(message)):
             load_dataset(cap, feat)
 
     def test_trailing_blank_lines_are_accepted(self, tmp_path):
@@ -131,15 +129,15 @@ class TestLoadDataset:
         cap, feat = write_pair(
             tmp_path, ["d0\t0\tok", "", line], ["2 2", "0.0 1.0", "1.0 2.0"]
         )
-        with pytest.raises(MalformedLine, match=re.escape(f"{cap}:3:")):
+        with pytest.raises(SemhardError, match=re.escape(f"{cap}:3: expected description_id")):
             load_dataset(cap, feat)
 
     def test_reference_errors_name_file_and_line(self, tmp_path):
         cap, feat = write_pair(tmp_path, ["d0\t0\tok", "d1\t7\tbad"], ["1 2", "0.0 1.0"])
-        with pytest.raises(MissingImageId, match=re.escape(f"{cap}:2:")):
+        with pytest.raises(SemhardError, match=re.escape(f"{cap}:2: caption 'd1' references")):
             load_dataset(cap, feat)
         cap, feat = write_pair(tmp_path, ["d0\t0\ta", "d0\t0\tb"], ["1 2", "0.0 1.0"])
-        with pytest.raises(DuplicateDescriptionId, match=re.escape(f"{cap}:2:")):
+        with pytest.raises(SemhardError, match=re.escape(f"{cap}:2: duplicate description id")):
             load_dataset(cap, feat)
 
     def test_uncaptioned_image_names_its_feature_line(self, tmp_path):
@@ -148,7 +146,7 @@ class TestLoadDataset:
             ["3 2", "0.0 1.0", "1.0 2.0", "2.0 3.0"],
         )
         message = f"{feat}:4: image 2 has no caption in {cap}"
-        with pytest.raises(UncaptionedImage, match=re.escape(message)):
+        with pytest.raises(SemhardError, match=re.escape(message)):
             load_dataset(cap, feat)
 
     def test_round_trip(self, tmp_path):
@@ -421,3 +419,53 @@ def test_non_finite_rule_stays_in_one_place():
                                     ("trainer", "_assign")}
     assert sites["np.errstate"] == {("trainer", "traps"), ("data", "generate_synthetic")}
     assert sites["except FloatingPointError"] == {("trainer", "no_overflow"), ("trainer", "train")}
+
+
+def test_one_error_type():
+    # every failure is a SemhardError told apart by its message, so no other exception class
+    # may return: a class whose base is an exception, or derives from one, is one itself
+    bases = {}
+    for path in Path(semhard.data.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases[f"{path.stem}.{node.name}"] = {ast.unparse(b).split(".")[-1]
+                                                     for b in node.bases}
+    names = {name for name, v in vars(builtins).items()
+             if isinstance(v, type) and issubclass(v, BaseException)}
+    for _ in bases:  # enough rounds for the longest chain of subclasses
+        found = {c for c, b in bases.items()
+                 if b & names or any(n.endswith(("Error", "Exception")) for n in b)}
+        names |= {c.split(".")[1] for c in found}
+    assert found == {"errors.SemhardError"}
+    assert issubclass(SemhardError, ValueError)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("run.cfg", "epochs=1\n"), ("captions.tsv", "d0\t0\tred cat\n"),
+    ("features.txt", "1 2\n0.5 0.25\n"), ("stopwords.txt", "the\ncat\n"),
+])
+def test_byte_order_mark_is_not_part_of_line_1(tmp_path, name, text):
+    # an editor may start a UTF-8 file with U+FEFF, which used to become part of the first
+    # config key, description id, features header or stopword
+    read = {"run.cfg": parse_config_file,
+            "captions.tsv": lambda path: list(caption_lines(path)),
+            "features.txt": lambda path: load_dataset(path.with_name("captions.tsv"),
+                                                      path).features.tolist(),
+            "stopwords.txt": load_stopwords}[name]
+    results = []
+    for bom in ("", "\ufeff"):
+        directory = tmp_path / f"bom{len(bom)}"
+        directory.mkdir()
+        (directory / "captions.tsv").write_text("d0\t0\tred cat\n", encoding="utf-8")
+        (directory / name).write_text(bom + text, encoding="utf-8")
+        results.append(read(directory / name))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("raw, line", [(b"caf\xe9\n", 1), (b"the\ncaf\xe9\n", 2),
+                                       (b"the\r\nred\rcaf\xe9\n", 3)])
+def test_bad_byte_after_a_byte_order_mark_names_its_line(tmp_path, raw, line):
+    path = tmp_path / "stopwords.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + raw)
+    with pytest.raises(SemhardError, match=re.escape(f"{path}:{line}: not UTF-8")):
+        read_lines(path)

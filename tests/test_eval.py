@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semhard.errors import ShapeMismatch
+from semhard.errors import SemhardError
 from semhard.evaluation import (
     HardNegStats,
     RelevanceMap,
@@ -132,7 +132,7 @@ class TestRecallAtK:
         assert recall_at_k(sim, rel, 3, "t2i") == 100.0 * 5 / 6
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(SemhardError, match="similarity shape disagrees with relevance map"):
             recall_at_k(np.zeros((3, 3)), one_to_one_relevance(4), 1, "i2t")
 
 

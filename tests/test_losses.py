@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from semhard.errors import ShapeMismatch
+from semhard.errors import SemhardError
 from semhard.losses import (
     LossConfig,
     SimilarityBlock,
@@ -195,7 +197,7 @@ class TestLsh:
             )
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(SemhardError, match=re.escape("S must be square, got (2, 3)")):
             SimilarityBlock(S=np.zeros((2, 3)))
 
 
